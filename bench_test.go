@@ -533,18 +533,21 @@ func BenchmarkParallelTable4(b *testing.B) {
 // runs one complete open-loop fleet workload (sites x hosts topology, Poisson
 // arrivals with bounded-Pareto sizes, sharded allocation, batched control
 // plane) and reports simulated events per wall second — the figure of merit
-// that says whether the 10k-host / 1M-job scenario fits in minutes. The '='
-// leaf names keep benchjson's -GOMAXPROCS suffix stripping away from the
-// shape parameters.
+// that says whether the 10k-host / 1M-job scenario fits in minutes. The
+// sample=100 leaf traces one job in a hundred: against its untraced twin it
+// gates what sampled causal tracing costs. The '=' leaf names keep
+// benchjson's -GOMAXPROCS suffix stripping away from the shape parameters.
 func BenchmarkFleetSweep(b *testing.B) {
 	shapes := []struct {
-		name  string
-		sites int
-		hosts int
-		jobs  int
+		name   string
+		sites  int
+		hosts  int
+		jobs   int
+		sample int
 	}{
-		{"sites=16/hosts=32/jobs=50k", 16, 32, 50_000},
-		{"sites=64/hosts=64/jobs=200k", 64, 64, 200_000},
+		{"sites=16/hosts=32/jobs=50k", 16, 32, 50_000, 0},
+		{"sites=64/hosts=64/jobs=200k", 64, 64, 200_000, 0},
+		{"sites=64/hosts=64/jobs=200k/sample=100", 64, 64, 200_000, 100},
 	}
 	for _, sh := range shapes {
 		sh := sh
@@ -564,7 +567,8 @@ func BenchmarkFleetSweep(b *testing.B) {
 					Arrivals:     fleet.RateShape{Kind: fleet.RateConstant, Rate: rate},
 					Sizes: fleet.SizeDist{Kind: fleet.DistPareto,
 						Alpha: 1.5, Min: time.Second, Max: 5 * time.Minute},
-					Heartbeat: 30 * time.Second,
+					Heartbeat:   30 * time.Second,
+					TraceSample: sh.sample,
 				})
 				if err != nil {
 					b.Fatal(err)

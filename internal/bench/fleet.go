@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"nxcluster/internal/fleet"
-	"nxcluster/internal/obs"
 	"nxcluster/internal/obs/causal"
 )
 
@@ -30,12 +29,9 @@ type FleetReport struct {
 }
 
 // RunFleet builds and runs one fleet workload, timing the run itself. When
-// cfg.TraceSample > 0 and cfg.Obs is nil, an observer is attached so the
-// causal percentiles come back filled.
+// cfg.TraceSample > 0 the causal percentiles come back filled from the
+// engine's observer (the one in cfg.Obs, or the one the engine made).
 func RunFleet(cfg fleet.Config) (*FleetReport, error) {
-	if cfg.TraceSample > 0 && cfg.Obs == nil {
-		cfg.Obs = obs.New()
-	}
 	e, err := fleet.New(cfg)
 	if err != nil {
 		return nil, err
@@ -50,8 +46,8 @@ func RunFleet(cfg fleet.Config) (*FleetReport, error) {
 		r.EventsPerSec = float64(r.Result.Events) / secs
 		r.JobsPerSec = float64(r.Result.Jobs) / secs
 	}
-	if cfg.TraceSample > 0 && cfg.Obs != nil {
-		f := causal.Build(cfg.Obs.Events())
+	if cfg.TraceSample > 0 {
+		f := causal.Build(e.Observer().Events())
 		if durs := causal.SpanDurations(f, "fleet/job"); len(durs) > 0 {
 			r.CausalP50 = causal.Percentile(durs, 50)
 			r.CausalP99 = causal.Percentile(durs, 99)

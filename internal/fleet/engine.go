@@ -52,10 +52,13 @@ type Config struct {
 	// Heartbeat is the batched beat + MDS publishing interval (default 10s).
 	Heartbeat time.Duration
 	// TraceSample, when > 0, opens a causal trace for every Nth job (1 =
-	// every job). Requires Obs; sampling keeps 1M-job runs from holding a
-	// span per job.
+	// every job): the job's span plus the hop and deliver marks of its four
+	// datagrams. Sampling switches the observer to traced-only admission,
+	// so unsampled jobs record nothing and a 1M-job run retains only its
+	// samples' trees.
 	TraceSample int
 	// Obs, when non-nil, receives trace events (sampled job spans included).
+	// With TraceSample > 0 and Obs nil, New creates one (Engine.Observer).
 	Obs *obs.Observer
 }
 
@@ -150,7 +153,7 @@ type job struct {
 func (j *job) OnEvent(k *sim.Kernel) {
 	e := j.e
 	s := &e.sites[j.site]
-	e.must(e.net.SendMessage(e.fl.Hosts[j.site][j.host], s.gw, msgBytes, j.atGwDone))
+	e.must(e.net.SendMessageCtx(j.tctx, e.fl.Hosts[j.site][j.host], s.gw, msgBytes, j.atGwDone))
 }
 
 // Engine drives one fleet run on a dedicated kernel. All logic is
@@ -209,6 +212,12 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
+	}
+	if cfg.TraceSample > 0 {
+		if cfg.Obs == nil {
+			cfg.Obs = obs.New()
+		}
+		cfg.Obs.TracedOnly()
 	}
 	fl := cluster.NewFleet(cluster.FleetOptions{
 		Sites:        cfg.Sites,
@@ -308,12 +317,12 @@ func (e *Engine) arrive() {
 	j.arrived = now
 	e.submitted++
 	e.sumService += int64(j.size)
-	if e.cfg.TraceSample > 0 && e.cfg.Obs != nil && (e.submitted-1)%e.cfg.TraceSample == 0 {
+	if e.cfg.TraceSample > 0 && (e.submitted-1)%e.cfg.TraceSample == 0 {
 		j.tctx = e.cfg.Obs.BeginTrace(now, "fleet", "job", cluster.FleetSite(j.site))
 	}
 	s := &e.sites[j.site]
 	s.outstanding++
-	e.must(e.net.SendMessage(cluster.FleetCore, s.gw, msgBytes, j.atGateway))
+	e.must(e.net.SendMessageCtx(j.tctx, cluster.FleetCore, s.gw, msgBytes, j.atGateway))
 	if e.submitted < e.cfg.Jobs {
 		e.k.AfterEvent(e.arr.Next()-now, e.arrTick)
 	}
@@ -333,7 +342,7 @@ func (j *job) gatewayArrive() {
 		return
 	}
 	j.host = host
-	e.must(e.net.SendMessage(s.gw, e.fl.Hosts[j.site][host], msgBytes, j.atHost))
+	e.must(e.net.SendMessageCtx(j.tctx, s.gw, e.fl.Hosts[j.site][host], msgBytes, j.atHost))
 }
 
 // hostArrive runs when the job lands on its host: hold the slot for the
@@ -353,7 +362,7 @@ func (j *job) gatewayDone() {
 		host, ok := s.shard.Allocate()
 		if ok {
 			q.host = host
-			e.must(e.net.SendMessage(s.gw, e.fl.Hosts[q.site][host], msgBytes, q.atHost))
+			e.must(e.net.SendMessageCtx(q.tctx, s.gw, e.fl.Hosts[q.site][host], msgBytes, q.atHost))
 		} else {
 			// Cannot happen (a slot was just released), but never drop work.
 			s.queue = append(s.queue, nil)
@@ -361,7 +370,7 @@ func (j *job) gatewayDone() {
 			s.queue[s.qhead] = q
 		}
 	}
-	e.must(e.net.SendMessage(s.gw, cluster.FleetCore, msgBytes, j.atCore))
+	e.must(e.net.SendMessageCtx(j.tctx, s.gw, cluster.FleetCore, msgBytes, j.atCore))
 }
 
 // coreDone runs when the completion reaches the core router: account the
@@ -484,6 +493,10 @@ func (e *Engine) Monitor() *hbm.Monitor { return e.mon }
 
 // Directory exposes the MDS directory the control plane publishes into.
 func (e *Engine) Directory() *mds.Directory { return e.dir }
+
+// Observer returns the run's observer: Config.Obs, or the one New created
+// for a sampled run. Nil for an unsampled run given no observer.
+func (e *Engine) Observer() *obs.Observer { return e.cfg.Obs }
 
 // Result is one completed run's summary. Every field is a pure function of
 // the configuration (virtual-time metrics only — wall-clock throughput is

@@ -188,3 +188,112 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("config at the host cap rejected: %v", err)
 	}
 }
+
+// TestSampledTraceCostsOnlyItsSamples pins the sampled-tracing contract at
+// two job counts: the observer retains exactly the sampled jobs' trees (one
+// job span's begin and end plus 4 hop and 4 deliver marks each), so its
+// event count and its retained heap scale with samples, not jobs.
+func TestSampledTraceCostsOnlyItsSamples(t *testing.T) {
+	const sample = 100
+	for _, jobs := range []int{10_000, 40_000} {
+		cfg := smallConfig()
+		cfg.Jobs = jobs
+		cfg.Arrivals = RateShape{Kind: RateConstant, Rate: 200}
+		cfg.TraceSample = sample
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		o := e.Observer()
+		sampled := (jobs + sample - 1) / sample
+		if o.Len() != sampled*10 {
+			t.Fatalf("%d jobs: observer holds %d events, want %d sampled x 10", jobs, o.Len(), sampled*10)
+		}
+
+		// What the observer alone keeps alive: the live heap with it
+		// reachable, less the live heap once it is dropped.
+		e = nil
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		withObs := ms.HeapAlloc
+		runtime.KeepAlive(o)
+		o = nil
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		var retained uint64
+		if withObs > ms.HeapAlloc {
+			retained = withObs - ms.HeapAlloc
+		}
+		perJob := float64(retained) / float64(jobs)
+		if perJob >= 100 {
+			t.Fatalf("%d jobs: observer retains %.0f B per job, want < 100", jobs, perJob)
+		}
+		t.Logf("%d jobs: %d events, %.1f B retained per job", jobs, sampled*10, perJob)
+	}
+}
+
+// TestSampledTraceTreeShape: every sampled job's tree is one fleet/job span
+// holding its four datagrams' network legs — 4 hop and 4 deliver marks,
+// each parented under the job span. The run is overloaded, so jobs also
+// leave the gateway queue, whose dispatch must carry their context too.
+func TestSampledTraceTreeShape(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Jobs = 500
+	cfg.Arrivals = RateShape{Kind: RateConstant, Rate: 400}
+	cfg.TraceSample = 10
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if e.Result().QueuedPeak == 0 {
+		t.Fatal("overloaded run never queued at a gateway")
+	}
+	f := causal.Build(e.Observer().Events())
+	if len(f.Traces) != 50 {
+		t.Fatalf("rebuilt %d traces, want 50", len(f.Traces))
+	}
+	for _, tr := range f.Traces {
+		if len(tr.Roots) != 1 || tr.Spans != 1 || tr.Incomplete != 0 {
+			t.Fatalf("trace %d: %d roots, %d spans, %d incomplete; want one complete job span",
+				tr.ID, len(tr.Roots), tr.Spans, tr.Incomplete)
+		}
+		root := tr.Roots[0]
+		if root.Label() != "fleet/job" {
+			t.Fatalf("trace %d rooted at %s, want fleet/job", tr.ID, root.Label())
+		}
+		names := map[string]int{}
+		for _, m := range tr.Marks {
+			if m.Cat != "net" || m.Parent != uint64(root.ID) {
+				t.Fatalf("trace %d: mark %s/%s parented at %d, want net under job span %d",
+					tr.ID, m.Cat, m.Name, m.Parent, root.ID)
+			}
+			if m.At < root.Start || m.At > root.End {
+				t.Fatalf("trace %d: %s mark at %v outside the job span [%v, %v]",
+					tr.ID, m.Name, m.At, root.Start, root.End)
+			}
+			names[m.Name]++
+		}
+		if len(tr.Marks) != 8 || names["hop"] != 4 || names["deliver"] != 4 {
+			t.Fatalf("trace %d marks %v, want 4 hop + 4 deliver", tr.ID, names)
+		}
+	}
+}
+
+// TestSampledTraceKeepsFingerprint: sampling observes, never perturbs — the
+// traced run's result equals the untraced one's.
+func TestSampledTraceKeepsFingerprint(t *testing.T) {
+	cfg := smallConfig()
+	plain := runFleet(t, cfg)
+	cfg.TraceSample = 7
+	traced := runFleet(t, cfg)
+	if traced != plain {
+		t.Fatalf("sampled run diverged:\n%+v\n%+v", traced, plain)
+	}
+}

@@ -24,6 +24,12 @@
 // internal/sim and internal/simnet pin this. Enabling tracing must never
 // change virtual-time results: instrumentation only reads the clock, it
 // never sleeps, computes, or schedules.
+//
+// Sampled tracing pays only for its samples: an observer in traced-only mode
+// (TracedOnly) refuses every event outside a trace tree, and the per-hop
+// sites in internal/simnet test Admits before building fields, so an
+// untraced datagram's hops cost a branch each — the same zero allocations
+// as a nil observer.
 package obs
 
 import "time"
@@ -75,9 +81,9 @@ type SpanID uint64
 // (minted once per traced job) and Span is the current enclosing span. The
 // zero TraceContext means "untraced" — every API accepting a parent treats
 // it as plain flat instrumentation, so call sites never need to guard.
-// Contexts flow out of band only (process environments and connection
-// baggage), never in wire bytes, so enabling tracing cannot perturb
-// simulated timing.
+// Contexts flow out of band only (process environments, connection
+// baggage and simnet datagram records), never in wire bytes, so enabling
+// tracing cannot perturb simulated timing.
 type TraceContext struct {
 	Trace uint64
 	Span  SpanID
@@ -97,6 +103,8 @@ type Observer struct {
 	metrics   Metrics
 	nextID    uint64
 	nextTrace uint64
+	// tracedOnly drops every event outside a trace tree (see TracedOnly).
+	tracedOnly bool
 }
 
 // New creates an enabled observer.
@@ -110,17 +118,36 @@ func FromEvents(events []Event) *Observer { return &Observer{events: events} }
 // Enabled reports whether events are being recorded.
 func (o *Observer) Enabled() bool { return o != nil }
 
+// TracedOnly switches o to traced-only admission: from now on it records
+// only events inside a trace tree (BeginTrace roots and everything parented
+// under a traced context) and drops flat instrumentation — Emit, Begin/End,
+// and EmitCtx or BeginChild with the zero parent — without consuming span
+// IDs. A sampled run then retains its samples' trees and nothing else.
+// Metrics are unaffected. Nil-safe.
+func (o *Observer) TracedOnly() {
+	if o != nil {
+		o.tracedOnly = true
+	}
+}
+
+// Admits reports whether an event under tc would be recorded: false on the
+// nil observer, and for untraced contexts in traced-only mode. Hot paths
+// test it before building field slices, so a refused event costs a branch.
+func (o *Observer) Admits(tc TraceContext) bool {
+	return o != nil && (!o.tracedOnly || tc.Traced())
+}
+
 // Emit records an instant event.
 func (o *Observer) Emit(at time.Duration, cat, name, track string, fields ...Field) {
-	if o == nil {
+	if o == nil || o.tracedOnly {
 		return
 	}
 	o.events = append(o.events, Event{At: at, Ph: PhaseInstant, Cat: cat, Name: name, Track: track, Fields: fields})
 }
 
-// Begin opens a span and returns its ID (0 when disabled).
+// Begin opens a span and returns its ID (0 when disabled or traced-only).
 func (o *Observer) Begin(at time.Duration, cat, name, track string, fields ...Field) SpanID {
-	if o == nil {
+	if o == nil || o.tracedOnly {
 		return 0
 	}
 	o.nextID++
@@ -158,7 +185,7 @@ func (o *Observer) BeginTrace(at time.Duration, cat, name, track string, fields 
 // bytes to Begin), so instrumentation sites call it unconditionally whether
 // or not a trace is flowing through them.
 func (o *Observer) BeginChild(at time.Duration, parent TraceContext, cat, name, track string, fields ...Field) TraceContext {
-	if o == nil {
+	if !o.Admits(parent) {
 		return TraceContext{}
 	}
 	o.nextID++
@@ -187,7 +214,7 @@ func (o *Observer) EndSpan(at time.Duration, tc TraceContext, cat, name, track s
 // EmitCtx records an instant event causally tied to parent (a requeue or
 // speculation marker inside a job's tree). Zero parent = plain Emit.
 func (o *Observer) EmitCtx(at time.Duration, parent TraceContext, cat, name, track string, fields ...Field) {
-	if o == nil {
+	if !o.Admits(parent) {
 		return
 	}
 	o.events = append(o.events, Event{At: at, Ph: PhaseInstant, Cat: cat, Name: name, Track: track,

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -231,6 +234,108 @@ func TestDisabledTracingDoesNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("disabled tracing allocates: %v allocs/op", n)
+	}
+}
+
+// TestTracedOnlyDropsFlatEvents: in traced-only mode every event outside a
+// trace tree is refused — flat instants and spans, and context-taking calls
+// handed the zero parent — while metrics keep working.
+func TestTracedOnlyDropsFlatEvents(t *testing.T) {
+	o := New()
+	o.TracedOnly()
+	var zero TraceContext
+	if o.Admits(zero) {
+		t.Fatal("traced-only observer admits the zero context")
+	}
+	if !o.Admits(TraceContext{Trace: 1, Span: 1}) {
+		t.Fatal("traced-only observer refuses a traced context")
+	}
+	o.Emit(1, "net", "hop", "a>b", Int("bytes", 64))
+	id := o.Begin(2, "net", "dial", "a")
+	if id != 0 {
+		t.Fatalf("traced-only Begin returned %d, want 0", id)
+	}
+	o.End(3, id, "net", "dial", "a")
+	o.EmitCtx(4, zero, "rmf", "requeue", "a")
+	if tc := o.BeginChild(5, zero, "gram", "submit", "a"); tc != zero {
+		t.Fatalf("traced-only BeginChild under the zero parent returned %+v", tc)
+	}
+	if o.Len() != 0 {
+		t.Fatalf("traced-only observer recorded %d flat events: %+v", o.Len(), o.Events())
+	}
+	c := o.Metrics().Counter("c")
+	c.Add(3)
+	if c.Value() != 3 {
+		t.Fatal("traced-only mode disabled metrics")
+	}
+}
+
+// TestTracedOnlyKeepsTraceTrees: trace-rooted and trace-parented events are
+// recorded in traced-only mode with the IDs an observer that saw only those
+// calls would mint — refused flat events consume no span IDs.
+func TestTracedOnlyKeepsTraceTrees(t *testing.T) {
+	record := func(o *Observer, flat bool) {
+		if flat {
+			o.Emit(100, "net", "hop", "a>b")
+			o.End(150, o.Begin(100, "net", "dial", "a"), "net", "dial", "a")
+		}
+		root := o.BeginTrace(200, "fleet", "job", "site0")
+		if flat {
+			o.BeginChild(250, TraceContext{}, "gram", "submit", "a")
+		}
+		sub := o.BeginChild(300, root, "gram", "submit", "h0", Int("rank", 0))
+		o.EmitCtx(400, sub, "net", "hop", "gw>h0", Int("bytes", 256))
+		if flat {
+			o.EmitCtx(450, TraceContext{}, "net", "deliver", "gw>h0")
+		}
+		o.EndSpan(500, sub, "gram", "submit", "h0")
+		span := o.BeginSpan(550, root, "mpi", "rank", "h0")
+		o.EndSpan(560, span, "mpi", "rank", "h0")
+		o.EndSpan(600, root, "fleet", "job", "site0")
+	}
+	want := New()
+	record(want, false)
+	got := New()
+	got.TracedOnly()
+	record(got, true)
+	if !reflect.DeepEqual(got.Events(), want.Events()) {
+		t.Fatalf("traced-only events diverge from the traced calls alone:\n got %+v\nwant %+v",
+			got.Events(), want.Events())
+	}
+	if got.Len() != 7 {
+		t.Fatalf("recorded %d events, want 7", got.Len())
+	}
+	if ev := got.Events(); ev[0].ID != 1 || ev[0].Trace != 1 || ev[1].ID != 2 || ev[1].Parent != 1 {
+		t.Fatalf("span IDs shifted: %+v", ev[:2])
+	}
+}
+
+// TestAdmitsNilObserver: the nil observer admits nothing, and TracedOnly on
+// it is a no-op.
+func TestAdmitsNilObserver(t *testing.T) {
+	var o *Observer
+	o.TracedOnly()
+	if o.Admits(TraceContext{}) || o.Admits(TraceContext{Trace: 1, Span: 1}) {
+		t.Fatal("nil observer admits events")
+	}
+}
+
+// TestDefaultObserverHashUnchanged: an observer never switched to
+// traced-only keeps every event, so the golden trace's JSONL hash is the
+// hash of the committed golden bytes.
+func TestDefaultObserverHashUnchanged(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "trace.jsonl.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h Hasher
+	h.Write(golden)
+	o := goldenTrace()
+	if o.Len() != 8 {
+		t.Fatalf("default observer kept %d of 8 golden events", o.Len())
+	}
+	if got, want := o.Hash(), h.Sum64(); got != want {
+		t.Fatalf("default observer hash %016x, golden bytes hash %016x", got, want)
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nxcluster/internal/fleet"
+	"nxcluster/internal/obs"
 )
 
 // minimal valid fleet scenario used as the mutation base below.
@@ -147,5 +150,55 @@ func TestFleetDecodeDefaults(t *testing.T) {
 	}
 	if err := Validate(s); err != nil {
 		t.Fatalf("Validate on minimal fleet spec: %v", err)
+	}
+}
+
+// TestFleetTraceSampleRuns: trace_sample in a fleet scenario attaches a
+// sampled observer, and the runner checks its causal rebuild — a sampled
+// run passes with the same fingerprint as the unsampled one.
+func TestFleetTraceSampleRuns(t *testing.T) {
+	plain, err := Parse([]byte(fleetOK))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled, err := Parse([]byte(strings.Replace(fleetOK, "  jobs: 100\n", "  jobs: 100\n  trace_sample: 7\n", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sampled.fleetConfig().TraceSample != 7 {
+		t.Fatalf("trace_sample not decoded: %+v", sampled.fleetConfig())
+	}
+	a, err := Run(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(sampled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !b.Passed || a.Fingerprint != b.Fingerprint || a.TraceHash != b.TraceHash {
+		t.Fatalf("sampled run %+v diverged from unsampled %+v", b, a)
+	}
+}
+
+// TestCheckFleetSpans: the runner rejects a sampled fleet trace whose
+// causal rebuild does not hold exactly ceil(jobs/K) job spans.
+func TestCheckFleetSpans(t *testing.T) {
+	cfg := fleet.Config{Jobs: 25, TraceSample: 10}
+	o := obs.New()
+	for i := 0; i < 3; i++ {
+		tc := o.BeginTrace(time.Duration(i), "fleet", "job", "site0")
+		o.EndSpan(time.Duration(i+1), tc, "fleet", "job", "site0")
+	}
+	if err := checkFleetSpans(cfg, o); err != nil {
+		t.Fatalf("3 spans for ceil(25/10) jobs rejected: %v", err)
+	}
+	o.BeginTrace(10, "fleet", "job", "site0") // never ends
+	cfg.Jobs = 40
+	if err := checkFleetSpans(cfg, o); err == nil {
+		t.Fatal("3 complete spans for ceil(40/10) = 4 sampled jobs accepted")
+	}
+	if err := checkFleetSpans(fleet.Config{Jobs: 25}, nil); err != nil {
+		t.Fatalf("unsampled run checked: %v", err)
 	}
 }

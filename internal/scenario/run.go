@@ -11,6 +11,8 @@ import (
 	"nxcluster/internal/bench"
 	"nxcluster/internal/chaos"
 	"nxcluster/internal/fleet"
+	"nxcluster/internal/obs"
+	"nxcluster/internal/obs/causal"
 )
 
 // Result is the outcome of running one scenario. The JSON shape is the one
@@ -152,6 +154,9 @@ func Run(s *Spec) (*Result, error) {
 				return nil, "", 0, 0, err
 			}
 			if err := e.Run(); err != nil {
+				return nil, "", 0, 0, err
+			}
+			if err := checkFleetSpans(cfg, e.Observer()); err != nil {
 				return nil, "", 0, 0, err
 			}
 			res := e.Result()
@@ -313,6 +318,22 @@ func fingerprintTransfer(pts []bench.TransferPoint) string {
 			p.Drops, p.Retransmits, p.Cuts)
 	}
 	return b.String()
+}
+
+// checkFleetSpans verifies a sampled fleet run's trace: the causal layer
+// must rebuild one complete fleet/job span per sampled job, ceil(jobs/K).
+// Unsampled runs have nothing to check.
+func checkFleetSpans(cfg fleet.Config, o *obs.Observer) error {
+	if cfg.TraceSample <= 0 {
+		return nil
+	}
+	want := (cfg.Jobs + cfg.TraceSample - 1) / cfg.TraceSample
+	got := len(causal.SpanDurations(causal.Build(o.Events()), "fleet/job"))
+	if got != want {
+		return fmt.Errorf("trace_sample %d: causal layer rebuilt %d fleet/job spans, want %d",
+			cfg.TraceSample, got, want)
+	}
+	return nil
 }
 
 func fingerprintFleet(res fleet.Result) string {

@@ -170,14 +170,14 @@ func (nd *Node) dial(p *sim.Proc, tctx obs.TraceContext, addr string) (transport
 		return nd.finishDial(span, addr, dialed, dialErr)
 	}
 	done := sim.NewEvent(nd.net.K)
-	n.send(path, ctlSize, func() {
+	n.send(obs.TraceContext{}, path, ctlSize, func() {
 		if nd.crashed {
 			// The dialer's host died while the SYN was in flight; nobody is
 			// left to answer to, so the attempt evaporates.
 			return
 		}
 		if dst.crashed {
-			n.send(reversePath(path), ctlSize, func() {
+			n.send(obs.TraceContext{}, reversePath(path), ctlSize, func() {
 				dialErr = transport.ErrHostDown
 				done.Set()
 			})
@@ -185,7 +185,7 @@ func (nd *Node) dial(p *sim.Proc, tctx obs.TraceContext, addr string) (transport
 		}
 		l := dst.listeners[port]
 		if l == nil || l.closed {
-			n.send(reversePath(path), ctlSize, func() {
+			n.send(obs.TraceContext{}, reversePath(path), ctlSize, func() {
 				dialErr = transport.ErrRefused
 				done.Set()
 			})
@@ -211,7 +211,7 @@ func (nd *Node) dial(p *sim.Proc, tctx obs.TraceContext, addr string) (transport
 			cAcc.flow = n.newFlowState(cAcc.path, remoteAddr+">"+localAddr)
 		}
 		if err := l.pending.TrySend(cAcc); err != nil {
-			n.send(reversePath(path), ctlSize, func() {
+			n.send(obs.TraceContext{}, reversePath(path), ctlSize, func() {
 				dialErr = transport.ErrRefused
 				done.Set()
 			})
@@ -219,7 +219,7 @@ func (nd *Node) dial(p *sim.Proc, tctx obs.TraceContext, addr string) (transport
 		}
 		nd.trackConn(cDial)
 		dst.trackConn(cAcc)
-		n.send(reversePath(path), ctlSize, func() {
+		n.send(obs.TraceContext{}, reversePath(path), ctlSize, func() {
 			dialed = cDial
 			done.Set()
 		})
@@ -333,7 +333,7 @@ func (c *conn) Close(env transport.Env) error {
 		return nil
 	}
 	peer := c.peer
-	c.node.net.send(c.path, ctlSize, func() {
+	c.node.net.send(obs.TraceContext{}, c.path, ctlSize, func() {
 		peer.deliverFin(fin)
 	})
 	return nil
@@ -368,7 +368,7 @@ func (c *conn) Abort(env transport.Env) error {
 		return nil
 	}
 	peer := c.peer
-	c.node.net.send(c.path, ctlSize, func() {
+	c.node.net.send(obs.TraceContext{}, c.path, ctlSize, func() {
 		peer.deliverReset()
 	})
 	return nil

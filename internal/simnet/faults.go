@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"nxcluster/internal/obs"
 	"nxcluster/internal/sim"
 	"nxcluster/internal/transport"
 )
@@ -106,7 +107,7 @@ func (n *Network) CrashHost(name string) error {
 		if peer.node.crashed {
 			continue // both endpoints down; nobody left to notify
 		}
-		n.send(c.path, ctlSize, func() { peer.deliverReset() })
+		n.send(obs.TraceContext{}, c.path, ctlSize, func() { peer.deliverReset() })
 	}
 	nd.conns = make(map[*conn]struct{})
 

@@ -3,6 +3,8 @@ package simnet
 import (
 	"fmt"
 	"time"
+
+	"nxcluster/internal/obs"
 )
 
 // Hierarchical site routing.
@@ -127,6 +129,14 @@ func directLink(a, b *Node) *linkDir {
 // from kernel or process context. Same-node sends deliver after a
 // scheduling tick.
 func (n *Network) SendMessage(src, dst string, size int, deliver func()) error {
+	return n.SendMessageCtx(obs.TraceContext{}, src, dst, size, deliver)
+}
+
+// SendMessageCtx is SendMessage for a datagram that belongs to trace tc: its
+// per-hop "hop" and final "deliver" marks are parented under tc, so a
+// sampled job's tree holds its own network legs. Trace context travels out
+// of band, never in the charged size, so timing is identical to SendMessage.
+func (n *Network) SendMessageCtx(tc obs.TraceContext, src, dst string, size int, deliver func()) error {
 	a, b := n.nodes[src], n.nodes[dst]
 	if a == nil || b == nil {
 		return fmt.Errorf("simnet: SendMessage: unknown node in %q -> %q", src, dst)
@@ -135,7 +145,7 @@ func (n *Network) SendMessage(src, dst string, size int, deliver func()) error {
 	if path == nil {
 		return fmt.Errorf("simnet: SendMessage: no route %q -> %q", src, dst)
 	}
-	n.send(path, size, deliver)
+	n.send(tc, path, size, deliver)
 	return nil
 }
 

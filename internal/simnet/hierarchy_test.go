@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"nxcluster/internal/obs"
 	"nxcluster/internal/sim"
 )
 
@@ -160,6 +161,51 @@ func TestSendMessageZeroAlloc(t *testing.T) {
 	send() // warm route cache and pools
 	if avg := testing.AllocsPerRun(50, send); avg != 0 {
 		t.Fatalf("warm SendMessage allocates %.1f allocs/run, want 0", avg)
+	}
+}
+
+// TestSendMessageCtxMarks: a datagram sent in a trace parents its hop and
+// deliver marks under that trace's span, and an untraced one records the
+// same flat marks as before contexts existed. In traced-only mode only the
+// traced datagram's marks are kept.
+func TestSendMessageCtxMarks(t *testing.T) {
+	for _, tracedOnly := range []bool{false, true} {
+		k, n := buildTree(t, 2, 1, true)
+		n.Obs = obs.New()
+		if tracedOnly {
+			n.Obs.TracedOnly()
+		}
+		tc := n.Obs.BeginTrace(0, "fleet", "job", "core")
+		if err := n.SendMessage("gwa-h0", "gwb-h0", 256, func() {}); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.SendMessageCtx(tc, "gwa-h0", "gwb-h0", 256, func() {}); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var flat, traced []string
+		for _, ev := range n.Obs.Events()[1:] {
+			switch {
+			case ev.Trace == 0 && ev.Parent == 0:
+				flat = append(flat, ev.Name)
+			case ev.Trace == tc.Trace && ev.Parent == uint64(tc.Span):
+				traced = append(traced, ev.Name)
+			default:
+				t.Fatalf("mark %s has trace %d parent %d, want 0/0 or %d/%d",
+					ev.Name, ev.Trace, ev.Parent, tc.Trace, tc.Span)
+			}
+		}
+		// gwa-h0 > gwa > core > gwb > gwb-h0: four hops, one delivery.
+		wantFlat := 5
+		if tracedOnly {
+			wantFlat = 0
+		}
+		if len(flat) != wantFlat || len(traced) != 5 || traced[4] != "deliver" {
+			t.Fatalf("tracedOnly=%v: flat marks %v, traced marks %v; want %d flat and 4 hop + deliver traced",
+				tracedOnly, flat, traced, wantFlat)
+		}
 	}
 }
 

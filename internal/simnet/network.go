@@ -67,7 +67,9 @@ type Network struct {
 	// every link hop, connection handshake, and stall. It must be set before
 	// traffic flows and belongs to this network's kernel alone. Nil (the
 	// default) keeps the data plane allocation-free: every emission site
-	// guards on the nil check before building an event.
+	// guards on the nil check before building an event. An observer in
+	// traced-only mode keeps untraced traffic allocation-free too: the
+	// per-hop sites test Admits first.
 	Obs   *obs.Observer
 	nodes map[string]*Node
 	// routes caches computed paths. The key is the node-pointer pair so a
@@ -402,6 +404,10 @@ type transfer struct {
 	seq     int64 // byte sequence (flow-modeled connections only)
 	deliver func()
 	x       *xwire // cross-partition payload (resumed or outbound typed packet)
+	// tctx is the trace the datagram belongs to (SendMessageCtx); zero for
+	// stream segments and control packets. Its hop and deliver marks join
+	// that trace's tree.
+	tctx obs.TraceContext
 }
 
 func (n *Network) newTransfer() *transfer {
@@ -443,11 +449,12 @@ func (n *Network) putSeg(b []byte) {
 	}
 }
 
-// send enqueues a control packet of the given size along path; deliver runs
-// at the final hop. Must be called from kernel or process context.
-func (n *Network) send(path []*linkDir, size int, deliver func()) {
+// send enqueues a control packet of the given size along path, in trace tc
+// (zero when untraced); deliver runs at the final hop. Must be called from
+// kernel or process context.
+func (n *Network) send(tc obs.TraceContext, path []*linkDir, size int, deliver func()) {
 	tr := n.newTransfer()
-	tr.size, tr.path, tr.deliver = size, path, deliver
+	tr.size, tr.path, tr.deliver, tr.tctx = size, path, deliver, tc
 	n.launch(tr)
 }
 
@@ -555,8 +562,8 @@ func (ld *linkDir) RunTask(k *sim.Kernel) {
 			// Stalled bytes are counted once per transfer, at pickup.
 			ld.stalled += int64(tr.size)
 			ld.state = linkStalling
-			if o := ld.net.Obs; o != nil {
-				o.Emit(k.Now(), "net", "stall", ld.label, obs.Int("bytes", int64(tr.size)))
+			if o := ld.net.Obs; o.Admits(tr.tctx) {
+				o.EmitCtx(k.Now(), tr.tctx, "net", "stall", ld.label, obs.Int("bytes", int64(tr.size)))
 			}
 			k.AfterTask(10*time.Millisecond, ld)
 			return
@@ -600,10 +607,12 @@ func (ld *linkDir) completeHead(k *sim.Kernel) {
 		ld.initMetrics(o)
 		ld.mBytes.Add(int64(tr.size))
 		ld.mBusy.Add(int64(ld.ser))
-		o.Emit(k.Now(), "net", "hop", ld.label,
-			obs.Int("bytes", int64(tr.size)),
-			obs.Int("ser_ns", int64(ld.ser)),
-			obs.Int("lat_ns", int64(lat)))
+		if o.Admits(tr.tctx) {
+			o.EmitCtx(k.Now(), tr.tctx, "net", "hop", ld.label,
+				obs.Int("bytes", int64(tr.size)),
+				obs.Int("ser_ns", int64(ld.ser)),
+				obs.Int("lat_ns", int64(lat)))
+		}
 	}
 	if ld.xship {
 		ld.net.part.ship(ld, tr)
@@ -621,9 +630,9 @@ func (tr *transfer) advance() {
 		return
 	}
 	n := tr.net
-	if o := n.Obs; o != nil && len(tr.path) > 0 {
+	if o := n.Obs; len(tr.path) > 0 && o.Admits(tr.tctx) {
 		last := tr.path[len(tr.path)-1]
-		o.Emit(n.K.Now(), "net", "deliver", last.label, obs.Int("bytes", int64(tr.size)))
+		o.EmitCtx(n.K.Now(), tr.tctx, "net", "deliver", last.label, obs.Int("bytes", int64(tr.size)))
 	}
 	if tr.x != nil {
 		// Typed cross-partition packet at its final node: dispatch by op.
