@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check chaos chaos-suite scenarios fleet-smoke trace-goldens race race-parallel bench bench-json bench-diff experiments examples cover fuzz clean
+.PHONY: all build test check chaos scenarios fleet-smoke trace-goldens race race-parallel bench bench-json bench-diff experiments examples cover fuzz clean
 
 all: build check
 
@@ -12,14 +12,14 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the default verification gate: vet, the end-to-end chaos
-# scenarios, the declarative gray-failure suite gated against its committed
-# baseline, the declarative scenario library (validate + run + coverage
-# gate), the fleet-scale smoke run, the full test suite under the race
-# detector (the parallel sweep makes race coverage load-bearing), a focused
-# race pass over the parallel-DES kernel paths, a short fuzz smoke over the
-# wire-facing parsers, and the coverage floor.
-check: chaos chaos-suite scenarios fleet-smoke trace-goldens
+# check is the default verification gate: vet, the chaos package's
+# fault-injection tests, the declarative scenario library with the
+# gray-failure chaos scenarios (validate + run + coverage gate), the
+# fleet-scale smoke run, the full test suite under the race detector (the
+# parallel sweep makes race coverage load-bearing), a focused race pass over
+# the parallel-DES kernel paths, a short fuzz smoke over the wire-facing
+# parsers, and the coverage floor.
+check: chaos scenarios fleet-smoke trace-goldens
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) race-parallel
@@ -32,27 +32,20 @@ check: chaos chaos-suite scenarios fleet-smoke trace-goldens
 race-parallel:
 	$(GO) test -race -count=1 -run 'TestGroup|TestPartitioned|TestCouple|TestGridKnapsack|TestParallel' ./internal/sim/ ./internal/simnet/ ./internal/bench/
 
-# chaos runs the fault-injection recovery scenarios (see EXPERIMENTS.md,
-# "Chaos runs") on their own, under the race detector.
+# chaos runs the chaos package's fault-injection recovery tests (see
+# EXPERIMENTS.md, "Chaos runs") on their own, under the race detector. The
+# gray-failure scenarios themselves are scenario files and run under
+# `make scenarios`.
 chaos:
 	$(GO) test -race -v -run 'TestChaos' ./internal/chaos/
-
-# chaos-suite runs the declarative gray-failure scenario library (partitions,
-# flapping links, stragglers, rolling outages — see EXPERIMENTS.md, "Chaos
-# suite"), every scenario replayed twice for trace determinism, then gates
-# the fresh summary against the committed CHAOS_suite.json baseline: any
-# failed invariant, shrunk scenario/invariant count, or dropped scenario
-# name exits non-zero.
-chaos-suite:
-	$(GO) run ./cmd/experiments -run chaos-suite -chaos-json CHAOS_new.json
-	$(GO) run ./cmd/benchdiff -chaos-old CHAOS_suite.json -chaos-new CHAOS_new.json
 
 # scenarios validates and runs the declarative scenario library (see
 # EXPERIMENTS.md, "Scenario runs"): every file under scenarios/ must parse,
 # validate, double-run bit-identically, and pass its declared assertions;
 # the fresh summary is then gated against the committed SCENARIOS_suite.json
-# baseline exactly like the chaos suite (failed invariant, shrunk counts, or
-# a dropped scenario name exits non-zero).
+# baseline (failed invariant, shrunk counts, or a dropped scenario name exits
+# non-zero). TestShippedScenariosRun pins each scenario's trace hash and
+# fingerprint to the same file.
 scenarios:
 	$(GO) run ./cmd/simulator validate scenarios/*.yaml
 	$(GO) run ./cmd/simulator run -json SCENARIOS_new.json scenarios/*.yaml

@@ -19,20 +19,12 @@
 // correctness contract is enforced separately by the golden virtual-time
 // tests. Such rows are reported and summarized as speedups but never gate.
 //
-// -chaos-old/-chaos-new additionally (or instead) compare chaos-suite JSON
-// summaries (cmd/experiments -run chaos-suite -chaos-json …): the new suite
-// must pass every invariant, must not have fewer scenarios or invariants
-// than the committed baseline, and must not have dropped a baseline scenario
-// by name — so chaos coverage regressions fail the same gate as performance
-// regressions:
-//
-//	go run ./cmd/experiments -run chaos-suite -chaos-json CHAOS_new.json
-//	go run ./cmd/benchdiff -chaos-old CHAOS_suite.json -chaos-new CHAOS_new.json
-//
-// -scenarios-old/-scenarios-new apply the identical gate to scenario-suite
-// JSON written by `simulator run -json` over scenarios/*.yaml, so shrinking
-// the declarative scenario library (or its invariant counts) fails the build
-// the same way shrinking the chaos suite does:
+// -scenarios-old/-scenarios-new additionally (or instead) compare
+// scenario-suite JSON written by `simulator run -json` over scenarios/*.yaml:
+// the new suite must pass every invariant, must not have fewer scenarios or
+// invariants than the committed baseline, and must not have dropped a
+// baseline scenario by name — so coverage regressions in the declarative
+// scenario library fail the same gate as performance regressions:
 //
 //	go run ./cmd/simulator run -json SCENARIOS_new.json scenarios/*.yaml
 //	go run ./cmd/benchdiff -scenarios-old SCENARIOS_suite.json -scenarios-new SCENARIOS_new.json
@@ -223,21 +215,21 @@ func SpeedupSection(recs []Record) string {
 	return b.String()
 }
 
-// ChaosScenario mirrors internal/chaos.ScenarioResult's JSON shape (only the
+// ScenarioResult mirrors internal/scenario.Result's JSON shape (only the
 // gated fields).
-type ChaosScenario struct {
+type ScenarioResult struct {
 	Name       string   `json:"name"`
 	Passed     bool     `json:"passed"`
 	Invariants int      `json:"invariants"`
 	Failures   []string `json:"failures,omitempty"`
 }
 
-// ChaosSuite mirrors internal/chaos.SuiteResult's JSON shape.
-type ChaosSuite struct {
-	Scenarios []ChaosScenario `json:"scenarios"`
+// SuiteResult mirrors internal/scenario.SuiteResult's JSON shape.
+type SuiteResult struct {
+	Scenarios []ScenarioResult `json:"scenarios"`
 }
 
-func (s *ChaosSuite) counts() (scenarios, invariants, failures int) {
+func (s *SuiteResult) counts() (scenarios, invariants, failures int) {
 	for _, sc := range s.Scenarios {
 		scenarios++
 		invariants += sc.Invariants
@@ -246,23 +238,16 @@ func (s *ChaosSuite) counts() (scenarios, invariants, failures int) {
 	return
 }
 
-// ChaosSection renders the chaos-suite summary line (plus any violations)
-// and reports whether the suite regressed: a failed invariant in the new
-// run, fewer scenarios or invariants than the baseline, or a baseline
-// scenario missing by name. old may be nil (no baseline: gate only on the
-// new run's own failures).
-func ChaosSection(old, cur *ChaosSuite) (string, bool) {
-	return SuiteSection("chaos suite", old, cur)
-}
-
-// SuiteSection is ChaosSection generalized over the suite's display label;
-// the scenario-suite gate (simulator run -json) shares the JSON shape and
-// the regression rules.
-func SuiteSection(label string, old, cur *ChaosSuite) (string, bool) {
+// SuiteSection renders the scenario suite's summary line (plus any
+// violations) and reports whether the suite regressed: a failed invariant in
+// the new run, fewer scenarios or invariants than the baseline, or a
+// baseline scenario missing by name. old may be nil (no baseline: gate only
+// on the new run's own failures).
+func SuiteSection(old, cur *SuiteResult) (string, bool) {
 	var b strings.Builder
 	regressed := false
 	scen, inv, fails := cur.counts()
-	fmt.Fprintf(&b, "\n%s: %d scenarios, %d invariants, %d failures", label, scen, inv, fails)
+	fmt.Fprintf(&b, "\nscenario suite: %d scenarios, %d invariants, %d failures", scen, inv, fails)
 	if old != nil {
 		oScen, oInv, _ := old.counts()
 		fmt.Fprintf(&b, " (baseline: %d scenarios, %d invariants)", oScen, oInv)
@@ -297,12 +282,12 @@ func SuiteSection(label string, old, cur *ChaosSuite) (string, bool) {
 	return b.String(), regressed
 }
 
-func loadChaos(path string) (*ChaosSuite, error) {
+func loadSuite(path string) (*SuiteResult, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var s ChaosSuite
+	var s SuiteResult
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -323,17 +308,15 @@ func load(path string) ([]Record, error) {
 
 func main() {
 	threshold := flag.Float64("threshold", 0.10, "allowed relative ns/op growth before a benchmark counts as regressed")
-	chaosOld := flag.String("chaos-old", "", "committed chaos-suite JSON baseline to gate coverage against")
-	chaosNew := flag.String("chaos-new", "", "fresh chaos-suite JSON (cmd/experiments -run chaos-suite -chaos-json)")
 	scenOld := flag.String("scenarios-old", "", "committed scenario-suite JSON baseline to gate coverage against")
 	scenNew := flag.String("scenarios-new", "", "fresh scenario-suite JSON (simulator run -json)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: benchdiff [-threshold 0.10] [-chaos-old base.json -chaos-new new.json] [-scenarios-old base.json -scenarios-new new.json] [old.json new.json]\n")
+		fmt.Fprintf(os.Stderr, "usage: benchdiff [-threshold 0.10] [-scenarios-old base.json -scenarios-new new.json] [old.json new.json]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 	benchArgs := flag.NArg() == 2
-	if (!benchArgs && (flag.NArg() != 0 || (*chaosNew == "" && *scenNew == ""))) || *threshold < 0 || math.IsNaN(*threshold) {
+	if (!benchArgs && (flag.NArg() != 0 || *scenNew == "")) || *threshold < 0 || math.IsNaN(*threshold) {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -358,40 +341,20 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchdiff: regression past %.0f%% threshold\n", *threshold*100)
 		}
 	}
-	if *chaosNew != "" {
-		cur, err := loadChaos(*chaosNew)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-			os.Exit(2)
-		}
-		var base *ChaosSuite
-		if *chaosOld != "" {
-			if base, err = loadChaos(*chaosOld); err != nil {
-				fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-				os.Exit(2)
-			}
-		}
-		out, reg := ChaosSection(base, cur)
-		fmt.Print(out)
-		if reg {
-			regressed = true
-			fmt.Fprintf(os.Stderr, "benchdiff: chaos suite regression\n")
-		}
-	}
 	if *scenNew != "" {
-		cur, err := loadChaos(*scenNew)
+		cur, err := loadSuite(*scenNew)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 			os.Exit(2)
 		}
-		var base *ChaosSuite
+		var base *SuiteResult
 		if *scenOld != "" {
-			if base, err = loadChaos(*scenOld); err != nil {
+			if base, err = loadSuite(*scenOld); err != nil {
 				fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 				os.Exit(2)
 			}
 		}
-		out, reg := SuiteSection("scenario suite", base, cur)
+		out, reg := SuiteSection(base, cur)
 		fmt.Print(out)
 		if reg {
 			regressed = true

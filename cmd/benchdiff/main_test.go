@@ -175,16 +175,16 @@ func TestFormatCleanRun(t *testing.T) {
 	}
 }
 
-func chaosSuite(scens ...ChaosScenario) *ChaosSuite {
-	return &ChaosSuite{Scenarios: scens}
+func suite(scens ...ScenarioResult) *SuiteResult {
+	return &SuiteResult{Scenarios: scens}
 }
 
-func TestChaosSectionClean(t *testing.T) {
-	s := chaosSuite(
-		ChaosScenario{Name: "partition", Passed: true, Invariants: 5},
-		ChaosScenario{Name: "flap", Passed: true, Invariants: 4},
+func TestSuiteSectionClean(t *testing.T) {
+	s := suite(
+		ScenarioResult{Name: "partition", Passed: true, Invariants: 5},
+		ScenarioResult{Name: "flap", Passed: true, Invariants: 4},
 	)
-	out, regressed := ChaosSection(s, s)
+	out, regressed := SuiteSection(s, s)
 	if regressed {
 		t.Fatalf("identical suites flagged:\n%s", out)
 	}
@@ -195,13 +195,13 @@ func TestChaosSectionClean(t *testing.T) {
 	}
 }
 
-func TestChaosSectionFailuresGate(t *testing.T) {
-	cur := chaosSuite(ChaosScenario{
+func TestSuiteSectionFailuresGate(t *testing.T) {
+	cur := suite(ScenarioResult{
 		Name: "partition", Passed: false, Invariants: 5,
 		Failures: []string{"exact-optimum: best = 9, want 10"},
 	})
 	// Even with no baseline, a failed invariant gates.
-	out, regressed := ChaosSection(nil, cur)
+	out, regressed := SuiteSection(nil, cur)
 	if !regressed {
 		t.Fatalf("failed invariant not flagged:\n%s", out)
 	}
@@ -210,18 +210,18 @@ func TestChaosSectionFailuresGate(t *testing.T) {
 	}
 }
 
-func TestChaosSectionCoverageShrinkGates(t *testing.T) {
-	old := chaosSuite(
-		ChaosScenario{Name: "partition", Passed: true, Invariants: 5},
-		ChaosScenario{Name: "flap", Passed: true, Invariants: 4},
+func TestSuiteSectionCoverageShrinkGates(t *testing.T) {
+	old := suite(
+		ScenarioResult{Name: "partition", Passed: true, Invariants: 5},
+		ScenarioResult{Name: "flap", Passed: true, Invariants: 4},
 	)
 	// Same scenario count but a baseline scenario replaced by a new one,
 	// and fewer total invariants: both must gate.
-	cur := chaosSuite(
-		ChaosScenario{Name: "partition", Passed: true, Invariants: 4},
-		ChaosScenario{Name: "straggler", Passed: true, Invariants: 4},
+	cur := suite(
+		ScenarioResult{Name: "partition", Passed: true, Invariants: 4},
+		ScenarioResult{Name: "straggler", Passed: true, Invariants: 4},
 	)
-	out, regressed := ChaosSection(old, cur)
+	out, regressed := SuiteSection(old, cur)
 	if !regressed {
 		t.Fatalf("coverage shrink not flagged:\n%s", out)
 	}
@@ -231,25 +231,24 @@ func TestChaosSectionCoverageShrinkGates(t *testing.T) {
 		}
 	}
 	// New scenarios on top of the baseline are growth, not regression.
-	grown := chaosSuite(append(old.Scenarios, ChaosScenario{Name: "extra", Passed: true, Invariants: 3})...)
-	if out, regressed := ChaosSection(old, grown); regressed {
+	grown := suite(append(old.Scenarios, ScenarioResult{Name: "extra", Passed: true, Invariants: 3})...)
+	if out, regressed := SuiteSection(old, grown); regressed {
 		t.Fatalf("suite growth flagged as regression:\n%s", out)
 	}
 }
 
 func TestSuiteSectionLabel(t *testing.T) {
-	// The scenario-library gate reuses the chaos gate machinery under its
-	// own label; the label must flow into the summary line.
-	cur := chaosSuite(ChaosScenario{Name: "table4-sweep", Passed: true, Invariants: 6})
-	out, regressed := SuiteSection("scenario suite", cur, cur)
+	// The summary line names the suite and carries its counts.
+	cur := suite(ScenarioResult{Name: "table4-sweep", Passed: true, Invariants: 6})
+	out, regressed := SuiteSection(cur, cur)
 	if regressed {
 		t.Fatalf("identical suites flagged:\n%s", out)
 	}
 	if !strings.Contains(out, "scenario suite: 1 scenarios, 6 invariants, 0 failures") {
 		t.Errorf("labeled summary missing:\n%s", out)
 	}
-	shrunk := chaosSuite()
-	if out, regressed := SuiteSection("scenario suite", cur, shrunk); !regressed {
+	shrunk := suite()
+	if out, regressed := SuiteSection(cur, shrunk); !regressed {
 		t.Fatalf("scenario-count shrink not flagged:\n%s", out)
 	} else if !strings.Contains(out, "scenario count shrank 1 -> 0") {
 		t.Errorf("shrink detail missing:\n%s", out)

@@ -6,13 +6,8 @@ import (
 	"strings"
 	"time"
 
-	"nxcluster/internal/cluster"
 	"nxcluster/internal/hbm"
-	"nxcluster/internal/knapsack"
 	"nxcluster/internal/obs"
-	"nxcluster/internal/proxy"
-	"nxcluster/internal/rmf"
-	"nxcluster/internal/simnet"
 )
 
 // Invariant is one end-of-run assertion over a chaos Report. Check returns
@@ -22,18 +17,17 @@ type Invariant struct {
 	Check func(*Report) error
 }
 
-// Scenario is one declarative chaos experiment: a Config (topology options,
-// fault schedule, workload knobs), the invariants its report must satisfy,
-// and optionally a Baseline config whose report the primary is Compared
-// against (for "mitigation beats no-mitigation" claims).
+// Scenario is one chaos experiment — what a kind=chaos scenario file
+// (scenarios/chaos-*.yaml, see internal/scenario) compiles to: a Config
+// (topology options, fault schedule, workload knobs), the invariants its
+// report must satisfy, and optionally a Baseline config whose report the
+// primary is Compared against (for "mitigation beats no-mitigation" claims).
 //
 // Every scenario is additionally run twice and the two runs must agree on the
 // full observability trace hash and on a report fingerprint — fault injection
 // must never cost reproducibility.
 type Scenario struct {
 	Name string
-	// Desc is a one-line statement of what the scenario demonstrates.
-	Desc string
 	// Config is the faulted run under test.
 	Config Config
 	// Baseline, when non-nil, is a second run (typically the same faults
@@ -47,55 +41,25 @@ type Scenario struct {
 	Compare func(rep, base *Report) error
 }
 
-// ScenarioResult is the outcome of one scenario, JSON-serializable for the
-// committed CHAOS_suite.json baseline benchdiff gates on.
+// ScenarioResult is the outcome of one scenario; scenario.Result is the
+// JSON shape the scenario gate records.
 type ScenarioResult struct {
-	Name       string   `json:"name"`
-	Passed     bool     `json:"passed"`
-	Invariants int      `json:"invariants"`
-	Failures   []string `json:"failures,omitempty"`
+	Name       string
+	Passed     bool
+	Invariants int
+	Failures   []string
 	// TraceHash is the FNV-64a hash of the run's full observability trace,
 	// identical across the double run (hex).
-	TraceHash string `json:"trace_hash"`
-	// Elapsed is the knapsack search's elapsed virtual time; JobDoneMS is
+	TraceHash string
+	// ElapsedMS is the knapsack search's elapsed virtual time; JobDoneMS is
 	// when the RMF job's Wait returned (0 if no control plane).
-	ElapsedMS int64 `json:"elapsed_ms"`
-	JobDoneMS int64 `json:"job_done_ms"`
-
-	// Report and BaseReport carry the full run outcomes for tests and
-	// logging; they are not part of the JSON baseline.
-	Report     *Report `json:"-"`
-	BaseReport *Report `json:"-"`
+	ElapsedMS int64
+	JobDoneMS int64
+	// Report is the primary run's full outcome.
+	Report *Report
 	// Obs is the primary run's observer — the causal trace SLO evaluation
-	// reads. Not part of the JSON baseline.
-	Obs *obs.Observer `json:"-"`
-}
-
-// SuiteResult aggregates a whole suite run.
-type SuiteResult struct {
-	Scenarios []ScenarioResult `json:"scenarios"`
-}
-
-// Passed reports whether every scenario passed.
-func (r *SuiteResult) Passed() bool {
-	for _, s := range r.Scenarios {
-		if !s.Passed {
-			return false
-		}
-	}
-	return true
-}
-
-// Counts returns the scenario count, the total invariants checked (including
-// the implicit determinism check and any baseline Compare), and the total
-// failures.
-func (r *SuiteResult) Counts() (scenarios, invariants, failures int) {
-	for _, s := range r.Scenarios {
-		scenarios++
-		invariants += s.Invariants
-		failures += len(s.Failures)
-	}
-	return
+	// reads.
+	Obs *obs.Observer
 }
 
 // fingerprint reduces a report to a canonical string so double runs can be
@@ -170,7 +134,6 @@ func RunScenario(s Scenario) (*ScenarioResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("chaos %s (baseline): %w", s.Name, err)
 		}
-		res.BaseReport = base
 		if s.Compare != nil {
 			res.Invariants++
 			if err := s.Compare(rep, base); err != nil {
@@ -180,31 +143,6 @@ func RunScenario(s Scenario) (*ScenarioResult, error) {
 	}
 	res.Passed = len(res.Failures) == 0
 	return res, nil
-}
-
-// RunSuite executes every scenario, logging one line per scenario through
-// logf (nil for silent).
-func RunSuite(scenarios []Scenario, logf func(format string, args ...interface{})) (*SuiteResult, error) {
-	out := &SuiteResult{}
-	for _, s := range scenarios {
-		res, err := RunScenario(s)
-		if err != nil {
-			return nil, err
-		}
-		out.Scenarios = append(out.Scenarios, *res)
-		if logf != nil {
-			status := "PASS"
-			if !res.Passed {
-				status = "FAIL"
-			}
-			logf("%-26s %s  invariants=%d elapsed=%dms job=%dms trace=%s",
-				s.Name, status, res.Invariants, res.ElapsedMS, res.JobDoneMS, res.TraceHash)
-			for _, f := range res.Failures {
-				logf("    FAIL %s", f)
-			}
-		}
-	}
-	return out, nil
 }
 
 // --- Invariant library ---
@@ -389,263 +327,4 @@ func HBMNoDowns() Invariant {
 		}
 		return nil
 	}}
-}
-
-// --- Default suite ---
-
-// suiteBase is the Table-4 wide-area run every suite scenario starts from.
-func suiteBase() Config {
-	return baseSuiteConfig(0)
-}
-
-func baseSuiteConfig(missBudget int) Config {
-	return Config{
-		Items:    24,
-		Capacity: 3,
-		System:   cluster.SystemWide,
-		UseProxy: true,
-		// The suite runs with slave liveness heartbeats on and a steal budget
-		// (20 x 500ms) sized for gray failures: delayed replies must not
-		// exhaust a slave's patience before the master's per-slave reclaim
-		// (SlaveTimeout past the last heartbeat) can unstick a dead host's
-		// outstanding batch.
-		FT: knapsack.FTParams{
-			Params: knapsack.Params{
-				Interval:  4,
-				StealUnit: 4,
-				NodeCost:  8 * time.Millisecond,
-			},
-			SlaveTimeout:   2500 * time.Millisecond,
-			StealTimeout:   500 * time.Millisecond,
-			StealRetries:   20,
-			HeartbeatEvery: time.Second,
-		},
-		Horizon: 90 * time.Second,
-		Keepalive: proxy.KeepaliveConfig{
-			Interval:   200 * time.Millisecond,
-			Timeout:    400 * time.Millisecond,
-			MissBudget: missBudget,
-		},
-		ControlPlane: true,
-	}
-}
-
-// DefaultSuite is the scenario library: every gray-failure mode the fault
-// model can express, each paired with the mitigation that answers it.
-func DefaultSuite() []Scenario {
-	return []Scenario{
-		partitionThenHeal(),
-		flappingBoundary(),
-		slowNodeStraggler(),
-		suspectStraggler(),
-		degradedBoundary(),
-		asymmetricWAN(),
-		rollingSiteOutage(),
-		crashDuringSpeculation(),
-	}
-}
-
-// partitionThenHeal severs every link between the RWCP side and the ETL side
-// for 2s mid-search. The cut is shorter than the steal budget, so the search
-// rides it out: exact optimum, no orphans, and — because the firewall
-// boundary link is inside the RWCP group — a single registration session.
-func partitionThenHeal() Scenario {
-	cfg := suiteBase()
-	p := &simnet.FaultPlan{}
-	p.Partition(cluster.RWCPSideNodes(), cluster.ETLSideNodes(), 2*time.Second, 4*time.Second)
-	cfg.Plan = p
-	return Scenario{
-		Name:   "partition-then-heal",
-		Desc:   "2s full site partition heals before the steal budget expires",
-		Config: cfg,
-		Invariants: []Invariant{
-			ExactOptimum(), AllWorkDone(), NoOrphans(), NoRankErrors(),
-			Registrations(1, 1), JobCompleted(), HBMAllUp(), ElapsedCeiling(60 * time.Second),
-		},
-	}
-}
-
-// flappingBoundary flaps the firewall boundary link with down windows longer
-// than the keepalive timeout: the registration session must break and
-// re-establish at least once, while the search still converges exactly.
-func flappingBoundary() Scenario {
-	cfg := suiteBase()
-	p := &simnet.FaultPlan{}
-	p.LinkFlap("rwcp-gw", cluster.RWCPOuter, 1500*time.Millisecond, 0.4, 2*time.Second, 6500*time.Millisecond)
-	cfg.Plan = p
-	return Scenario{
-		Name:   "flapping-boundary",
-		Desc:   "boundary link flaps past the keepalive timeout; relay re-registers",
-		Config: cfg,
-		Invariants: []Invariant{
-			ExactOptimum(), AllWorkDone(), NoOrphans(), NoRankErrors(),
-			Registrations(2, 0), JobCompleted(), HBMAllUp(), ElapsedCeiling(60 * time.Second),
-		},
-	}
-}
-
-// slowNodeStraggler slows the job's host by 4x and lets the progress
-// deadline launch a speculative copy on a healthy node. The Baseline runs
-// the identical fault without speculation; Compare demands the copy won on
-// elapsed virtual time while both runs kept the exact optimum.
-func slowNodeStraggler() Scenario {
-	cfg := suiteBase()
-	cfg.JobCompute = true
-	cfg.Recovery = &rmf.RecoveryPolicy{StatusRetries: 3, SpeculateAfter: 2 * time.Second}
-	p := &simnet.FaultPlan{}
-	p.SlowHost("compas00", 4, 400*time.Millisecond, 60*time.Second)
-	cfg.Plan = p
-
-	base := cfg
-	base.Recovery = &rmf.RecoveryPolicy{StatusRetries: 3}
-	basePlan := &simnet.FaultPlan{}
-	basePlan.SlowHost("compas00", 4, 400*time.Millisecond, 60*time.Second)
-	base.Plan = basePlan
-
-	return Scenario{
-		Name:     "slow-node-straggler",
-		Desc:     "4x straggler; speculation beats the no-speculation baseline",
-		Config:   cfg,
-		Baseline: &base,
-		Invariants: []Invariant{
-			ExactOptimum(), AllWorkDone(), JobCompleted(), ElapsedCeiling(60 * time.Second),
-			MinSpeculations(1), MaxRequeues(0), JobOffHost("compas00"),
-		},
-		Compare: func(rep, base *Report) error {
-			if base.JobErr != nil {
-				return fmt.Errorf("baseline job error: %v", base.JobErr)
-			}
-			if rep.JobDone >= base.JobDone {
-				return fmt.Errorf("speculation did not win: job done at %v, baseline %v", rep.JobDone, base.JobDone)
-			}
-			if rep.Best != rep.WantBest || base.Best != base.WantBest {
-				return fmt.Errorf("optimum drifted: spec %d base %d want %d", rep.Best, base.Best, rep.WantBest)
-			}
-			return nil
-		},
-	}
-}
-
-// suspectStraggler slows one COMPaS node hard enough that its heartbeat
-// gaps cross the DOWN threshold, with a SuspectWindow configured: the
-// monitor must classify it SUSPECT — never DOWN — and clear it after the
-// host is restored.
-func suspectStraggler() Scenario {
-	cfg := suiteBase()
-	cfg.SuspectWindow = 5 * time.Second
-	cfg.BeatCost = 100 * time.Millisecond
-	cfg.HBMLateAfter = 600 * time.Millisecond
-	cfg.HBMDownAfter = 1200 * time.Millisecond
-	p := &simnet.FaultPlan{}
-	p.SlowHost("compas07", 6, 1*time.Second, 50*time.Second)
-	cfg.Plan = p
-	return Scenario{
-		Name:   "suspect-straggler",
-		Desc:   "6x straggler classified SUSPECT, not DOWN/UP flapping",
-		Config: cfg,
-		Invariants: []Invariant{
-			ExactOptimum(), AllWorkDone(), JobCompleted(), ElapsedCeiling(60 * time.Second),
-			HBMSuspectsSeen(1), HBMNoDowns(), HBMAllUp(),
-		},
-	}
-}
-
-// degradedBoundary adds 300ms each way on the firewall boundary link —
-// enough that every pong misses the keepalive timeout — with a MissBudget
-// that rides the delay out as SUSPECT. The Baseline has no budget and must
-// flap through at least one re-registration.
-func degradedBoundary() Scenario {
-	cfg := baseSuiteConfig(2)
-	p := &simnet.FaultPlan{}
-	p.LinkDegrade("rwcp-gw", cluster.RWCPOuter, 300*time.Millisecond, 0, 1*time.Second, 6*time.Second)
-	p.LinkDegrade(cluster.RWCPOuter, "rwcp-gw", 300*time.Millisecond, 0, 1*time.Second, 6*time.Second)
-	cfg.Plan = p
-
-	base := baseSuiteConfig(0)
-	basePlan := &simnet.FaultPlan{}
-	basePlan.LinkDegrade("rwcp-gw", cluster.RWCPOuter, 300*time.Millisecond, 0, 1*time.Second, 6*time.Second)
-	basePlan.LinkDegrade(cluster.RWCPOuter, "rwcp-gw", 300*time.Millisecond, 0, 1*time.Second, 6*time.Second)
-	base.Plan = basePlan
-
-	return Scenario{
-		Name:     "degraded-boundary",
-		Desc:     "slow boundary link ridden out as SUSPECT under a miss budget",
-		Config:   cfg,
-		Baseline: &base,
-		Invariants: []Invariant{
-			ExactOptimum(), AllWorkDone(), JobCompleted(), ElapsedCeiling(75 * time.Second),
-			Registrations(1, 1), SuspectPeriods(1),
-		},
-		Compare: func(rep, base *Report) error {
-			if base.InnerRegistrations < 2 {
-				return fmt.Errorf("baseline without a miss budget re-registered %d times, want >= 2 (the budget should be what prevents the flap)", base.InnerRegistrations)
-			}
-			return nil
-		},
-	}
-}
-
-// asymmetricWAN degrades only one direction of the WAN link: steal replies
-// crawl while requests fly. The search slows but must stay exact, and the
-// boundary session (unaffected) must stay up.
-func asymmetricWAN() Scenario {
-	cfg := suiteBase()
-	p := &simnet.FaultPlan{}
-	p.LinkDegrade(cluster.RWCPOuter, "etl-gw", 250*time.Millisecond, 0, 1*time.Second, 8*time.Second)
-	cfg.Plan = p
-	return Scenario{
-		Name:   "asymmetric-wan",
-		Desc:   "one-way 250ms WAN degradation; search exact, no session flap",
-		Config: cfg,
-		Invariants: []Invariant{
-			ExactOptimum(), AllWorkDone(), NoOrphans(), NoRankErrors(),
-			Registrations(1, 1), JobCompleted(), HBMAllUp(), ElapsedCeiling(60 * time.Second),
-		},
-	}
-}
-
-// rollingSiteOutage crashes three COMPaS nodes in staggered windows; the job
-// chases the failures across the site and the FT scheduler reclaims each
-// dead rank's work.
-func rollingSiteOutage() Scenario {
-	cfg := suiteBase()
-	p := &simnet.FaultPlan{}
-	p.CrashWindow("compas00", 1*time.Second, 3*time.Second)
-	p.CrashWindow("compas01", 3500*time.Millisecond, 5500*time.Millisecond)
-	p.CrashWindow("compas02", 6*time.Second, 8*time.Second)
-	cfg.Plan = p
-	return Scenario{
-		Name:   "rolling-site-outage",
-		Desc:   "three staggered node crashes; job requeued ahead of each",
-		Config: cfg,
-		Invariants: []Invariant{
-			ExactOptimum(), AllWorkDone(), NoOrphans(), NoRankErrors(),
-			JobCompleted(), MinRequeues(1), HBMAllUp(), ElapsedCeiling(60 * time.Second),
-		},
-	}
-}
-
-// crashDuringSpeculation crashes the straggler while its speculative copy is
-// in flight: the copy must be promoted (no requeue) and the job completes
-// off the dead node.
-func crashDuringSpeculation() Scenario {
-	cfg := suiteBase()
-	cfg.JobCompute = true
-	// The crashed host's reclaimed batch is re-expanded while the other
-	// slaves starve; give them patience to ride the re-expansion out.
-	cfg.FT.StealRetries = 40
-	cfg.Recovery = &rmf.RecoveryPolicy{StatusRetries: 3, SpeculateAfter: 2 * time.Second}
-	p := &simnet.FaultPlan{}
-	p.SlowHost("compas00", 4, 400*time.Millisecond, 60*time.Second)
-	p.CrashWindow("compas00", 4*time.Second, 8*time.Second)
-	cfg.Plan = p
-	return Scenario{
-		Name:   "crash-during-speculation",
-		Desc:   "straggler crashes mid-speculation; the copy is promoted",
-		Config: cfg,
-		Invariants: []Invariant{
-			ExactOptimum(), AllWorkDone(), NoOrphans(), JobCompleted(), ElapsedCeiling(60 * time.Second),
-			MinSpeculations(1), MaxRequeues(0), JobOffHost("compas00"),
-		},
-	}
 }

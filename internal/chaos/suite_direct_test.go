@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +11,7 @@ import (
 )
 
 // tinyConfig is a small fault-free run for exercising RunScenario's
-// bookkeeping without the full suite's 90s horizons.
+// bookkeeping without the chaos scenario files' 90s horizons.
 func tinyConfig() Config {
 	return Config{
 		Items:    8,
@@ -61,39 +60,8 @@ func TestRunScenarioBadConfig(t *testing.T) {
 	}
 }
 
-// TestRunSuiteLogsAndCounts drives RunSuite's logging path and the
-// SuiteResult accessors on a mixed pass/fail suite.
-func TestRunSuiteLogsAndCounts(t *testing.T) {
-	var lines []string
-	logf := func(format string, args ...interface{}) {
-		lines = append(lines, strings.Join(strings.Fields(fmt.Sprintf(format, args...)), " "))
-	}
-	suite := []Scenario{
-		{Name: "ok", Config: tinyConfig(), Invariants: []Invariant{ExactOptimum()}},
-		{Name: "doomed", Config: tinyConfig(), Invariants: []Invariant{ElapsedCeiling(time.Nanosecond)}},
-	}
-	res, err := RunSuite(suite, logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Passed() {
-		t.Error("suite with a doomed scenario passed")
-	}
-	sc, inv, fails := res.Counts()
-	if sc != 2 || inv != 4 || fails != 1 {
-		t.Errorf("counts = %d/%d/%d, want 2 scenarios, 4 invariants, 1 failure", sc, inv, fails)
-	}
-	joined := strings.Join(lines, "\n")
-	if !strings.Contains(joined, "ok PASS") || !strings.Contains(joined, "doomed FAIL") {
-		t.Errorf("log lines missing PASS/FAIL markers:\n%s", joined)
-	}
-	if !strings.Contains(joined, "FAIL elapsed-ceiling") {
-		t.Errorf("log lines missing the failure detail:\n%s", joined)
-	}
-}
-
 // TestInvariantLibrary exercises every invariant's violation branch on
-// synthetic reports — the error text is part of the suite's UX.
+// synthetic reports — the error text is what a failing scenario reports.
 func TestInvariantLibrary(t *testing.T) {
 	cases := []struct {
 		inv     Invariant

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -30,24 +31,59 @@ func shippedFiles(t *testing.T) []string {
 }
 
 // TestShippedScenariosValidate: every shipped scenario file must parse and
-// validate — host names, link names, assertion vocabulary, shape constraints.
+// validate — host names, link names, assertion vocabulary, shape constraints
+// — and declare a name no other file declares: the scenario gate and the
+// committed SCENARIOS_suite.json both key scenarios by name.
 func TestShippedScenariosValidate(t *testing.T) {
+	declared := map[string]string{}
 	for _, file := range shippedFiles(t) {
 		t.Run(file, func(t *testing.T) {
-			if err := Validate(loadShipped(t, file)); err != nil {
+			s := loadShipped(t, file)
+			if err := Validate(s); err != nil {
 				t.Fatal(err)
 			}
+			if prev, dup := declared[s.Name]; dup {
+				t.Fatalf("scenario name %q is already declared by %s", s.Name, prev)
+			}
+			declared[s.Name] = file
 		})
 	}
 }
 
+// committedSuite loads SCENARIOS_suite.json, the library's committed run,
+// keyed by scenario name.
+func committedSuite(t *testing.T) map[string]Result {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "SCENARIOS_suite.json"))
+	if err != nil {
+		t.Fatalf("read committed suite: %v", err)
+	}
+	var suite SuiteResult
+	if err := json.Unmarshal(data, &suite); err != nil {
+		t.Fatalf("parse committed suite: %v", err)
+	}
+	byName := make(map[string]Result, len(suite.Scenarios))
+	for _, r := range suite.Scenarios {
+		byName[r.Name] = r
+	}
+	return byName
+}
+
+// regenerate is the command that rewrites the committed suite after an
+// intended change to a scenario's results.
+const regenerate = "go run ./cmd/simulator run -json SCENARIOS_suite.json scenarios/*.yaml"
+
 // TestShippedScenariosRun is the determinism wall: every shipped scenario
 // runs (Run itself executes each workload twice and fails on any trace-hash
-// or fingerprint divergence) and passes all its declared assertions.
+// or fingerprint divergence), passes all its declared assertions, and
+// reproduces the trace hash and fingerprint committed in SCENARIOS_suite.json
+// — virtual-time results are host-independent, so any drift is a behaviour
+// change.
 func TestShippedScenariosRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full scenario library (~5s of virtual-time runs) in -short mode")
 	}
+	committed := committedSuite(t)
 	for _, file := range shippedFiles(t) {
 		t.Run(file, func(t *testing.T) {
 			res, err := Run(loadShipped(t, file))
@@ -59,6 +95,18 @@ func TestShippedScenariosRun(t *testing.T) {
 			}
 			if res.Invariants < 1 {
 				t.Fatalf("invariants = %d — even a bare scenario carries the determinism invariant", res.Invariants)
+			}
+			want, ok := committed[res.Name]
+			if !ok {
+				t.Fatalf("scenario %s has no SCENARIOS_suite.json entry; regenerate it with `%s`", res.Name, regenerate)
+			}
+			if res.TraceHash != want.TraceHash {
+				t.Errorf("scenario %s: trace_hash %s, SCENARIOS_suite.json pins %s; if intended, regenerate with `%s`",
+					res.Name, res.TraceHash, want.TraceHash, regenerate)
+			}
+			if res.Fingerprint != want.Fingerprint {
+				t.Errorf("scenario %s: fingerprint\n got    %q\n pinned %q\nif intended, regenerate with `%s`",
+					res.Name, res.Fingerprint, want.Fingerprint, regenerate)
 			}
 		})
 	}

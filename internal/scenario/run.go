@@ -16,8 +16,7 @@ import (
 )
 
 // Result is the outcome of running one scenario. The JSON shape is the one
-// cmd/benchdiff's suite gate consumes (a superset of the chaos-gate schema:
-// name/passed/invariants/failures).
+// cmd/benchdiff's suite gate consumes and SCENARIOS_suite.json records.
 type Result struct {
 	Name       string   `json:"name"`
 	Kind       string   `json:"kind"`
@@ -216,7 +215,6 @@ func runChaos(s *Spec, invs []chaos.Invariant) (*Result, error) {
 	}
 	sc := chaos.Scenario{
 		Name:       s.Name,
-		Desc:       s.Desc,
 		Config:     cfg,
 		Invariants: invs,
 	}
