@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check chaos scenarios fleet-smoke trace-goldens race race-parallel bench bench-json bench-diff experiments examples cover fuzz clean
+.PHONY: all build test check chaos scenarios fleet-smoke trace-goldens race bench bench-json bench-diff experiments examples cover fuzz clean
 
 all: build check
 
@@ -16,21 +16,13 @@ test:
 # fault-injection tests, the declarative scenario library with the
 # gray-failure chaos scenarios (validate + run + coverage gate), the
 # fleet-scale smoke run, the full test suite under the race detector (the
-# parallel sweep makes race coverage load-bearing), a focused race pass over
-# the parallel-DES kernel paths, a short fuzz smoke over the wire-facing
-# parsers, and the coverage floor.
+# parallel sweep makes race coverage load-bearing), a short fuzz smoke over
+# the wire-facing parsers, and the coverage floor.
 check: chaos scenarios fleet-smoke trace-goldens
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(MAKE) race-parallel
 	$(MAKE) fuzz
 	$(MAKE) cover
-
-# race-parallel exercises the conservative parallel-DES machinery — group
-# kernels, the partitioned network coupling, and the wide-grid oracle
-# tests — under the race detector with fresh (uncached) runs.
-race-parallel:
-	$(GO) test -race -count=1 -run 'TestGroup|TestPartitioned|TestCouple|TestGridKnapsack|TestParallel' ./internal/sim/ ./internal/simnet/ ./internal/bench/
 
 # chaos runs the chaos package's fault-injection recovery tests (see
 # EXPERIMENTS.md, "Chaos runs") on their own, under the race detector. The
@@ -74,10 +66,10 @@ bench:
 
 # bench-json runs the kernel/data-plane microbenchmarks and emits machine-
 # readable results for tracking regressions across commits. BENCHTIME
-# stretches each benchmark enough that the ~100ms/op parallel-DES runs get
-# a stable sample.
+# stretches each benchmark enough that the 0.1-0.5 s/op FleetSweep whole
+# runs get a stable sample.
 BENCHTIME ?= 2s
-BENCH_PAT = KernelStep|KernelTimerStop|ObsSpan|SimnetThroughput|MPIPingPong|TransferSingle|TransferParallel8|ParallelTable4|FleetSweep
+BENCH_PAT = KernelStep|KernelTimerStop|ObsSpan|SimnetThroughput|MPIPingPong|TransferSingle|TransferParallel8|FleetSweep
 
 bench-json:
 	$(GO) test -run NONE -bench '$(BENCH_PAT)' -benchtime $(BENCHTIME) -benchmem . | $(GO) run ./cmd/benchjson > BENCH_kernel.json
@@ -86,7 +78,7 @@ bench-json:
 # bench-diff re-runs the microbenchmarks and gates on regressions against
 # the committed BENCH_kernel.json baseline: > BENCH_THRESHOLD relative ns/op
 # or allocs/op growth (any growth at all on 0-alloc baselines) exits
-# non-zero, and parallel speedups are summarized (see cmd/benchdiff).
+# non-zero (see cmd/benchdiff).
 BENCH_THRESHOLD ?= 0.10
 
 bench-diff:

@@ -15,7 +15,6 @@
 package repro
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -477,56 +476,6 @@ func intName(prefix string, n int) string {
 		n /= 10
 	}
 	return prefix + string(out)
-}
-
-// parallelGridConfig is the parallel-DES benchmark workload: the Table 4
-// wide-area knapsack widened across three extra grid sites (five site
-// partitions) on a 20 ms WAN, with the firewall opened for direct
-// cross-site communication.
-func parallelGridConfig() bench.GridConfig {
-	return bench.GridConfig{
-		Capacity: 4,
-		Options: cluster.Options{
-			ExtraSites:   3,
-			OpenFirewall: true,
-			WANLatency:   20 * time.Millisecond,
-		},
-	}
-}
-
-// BenchmarkParallelTable4 measures the conservative parallel-DES mode on the
-// wide-grid Table 4 workload: the same simulation run on the monolithic
-// sequential kernel and partitioned across site sub-kernels at 1, 2, 4 and
-// GOMAXPROCS site-workers. Virtual results are bit-identical across all
-// sub-benchmarks (the invariance tests pin this); only wall-clock differs,
-// so ns/op ratios between the "sequential" leaf and the "site-workers=N"
-// leaves are the simulator's parallel speedup.
-func BenchmarkParallelTable4(b *testing.B) {
-	run := func(sites int) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			var r *bench.GridResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				r, err = bench.RunGridKnapsack(parallelGridConfig(), sites)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(r.Elapsed.Seconds(), "vsec-exec")
-		}
-	}
-	b.Run("sequential", run(0))
-	seen := map[int]bool{}
-	for _, sites := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		if seen[sites] {
-			continue
-		}
-		seen[sites] = true
-		// '=' instead of '-' so benchjson's -GOMAXPROCS suffix stripping
-		// cannot eat the worker count.
-		b.Run(intName("site-workers=", sites), run(sites))
-	}
 }
 
 // BenchmarkFleetSweep measures fleet-scale simulator throughput: each leaf

@@ -10,14 +10,8 @@
 // -threshold sets the allowed relative ns/op growth (default 0.10 = +10%).
 // On a 0-alloc baseline any allocs/op increase is a regression (the 0-alloc
 // hot paths are an explicit contract); nonzero alloc baselines get the same
-// relative threshold, so scheduling jitter in the parallel-execution
-// benchmarks does not flake the gate.
-//
-// Benchmark groups carrying a ".../sequential" leaf (the parallel-DES
-// speedup sweep) are wall-clock measurements of concurrent execution — their
-// ns/op depends on host core count and scheduler timing, and their
-// correctness contract is enforced separately by the golden virtual-time
-// tests. Such rows are reported and summarized as speedups but never gate.
+// relative threshold, so allocation jitter in the end-to-end benchmarks does
+// not flake the gate.
 //
 // -scenarios-old/-scenarios-new additionally (or instead) compare
 // scenario-suite JSON written by `simulator run -json` over scenarios/*.yaml:
@@ -134,85 +128,6 @@ func Format(rows []Row, threshold float64) (string, bool) {
 		}
 	}
 	return b.String(), regressed
-}
-
-// speedupGroups returns the set of sub-benchmark prefixes that have a
-// "sequential" leaf — the parallel speedup sweeps.
-func speedupGroups(recs []Record) map[string]bool {
-	groups := make(map[string]bool)
-	for _, r := range recs {
-		if strings.HasSuffix(r.Name, "/sequential") {
-			groups[strings.TrimSuffix(r.Name, "/sequential")] = true
-		}
-	}
-	return groups
-}
-
-// ExemptSpeedupGroups clears the regression flag on rows belonging to a
-// parallel speedup sweep: their ns/op is a host-dependent wall-clock
-// measurement, not a gated microbenchmark contract.
-func ExemptSpeedupGroups(rows []Row, recs []Record) []Row {
-	groups := speedupGroups(recs)
-	for i, r := range rows {
-		if j := strings.LastIndex(r.Name, "/"); j > 0 && groups[r.Name[:j]] {
-			rows[i].Regressed = false
-		}
-	}
-	return rows
-}
-
-// SpeedupSection renders wall-clock speedups for sub-benchmark groups that
-// carry a ".../sequential" leaf (e.g. BenchmarkParallelTable4): every other
-// leaf in the group is reported as sequential ns/op divided by its ns/op, so
-// a parallel-execution sweep reads directly as speedup multiples. Groups
-// without a sequential leaf produce no rows; with no qualifying group the
-// section is empty.
-func SpeedupSection(recs []Record) string {
-	type group struct {
-		seq     float64
-		members []Record
-	}
-	groups := make(map[string]*group)
-	for _, r := range recs {
-		i := strings.LastIndex(r.Name, "/")
-		if i < 0 {
-			continue
-		}
-		prefix, leaf := r.Name[:i], r.Name[i+1:]
-		g := groups[prefix]
-		if g == nil {
-			g = &group{}
-			groups[prefix] = g
-		}
-		if leaf == "sequential" {
-			g.seq = r.NsPerOp
-		} else {
-			g.members = append(g.members, r)
-		}
-	}
-	prefixes := make([]string, 0, len(groups))
-	for p, g := range groups {
-		if g.seq > 0 && len(g.members) > 0 {
-			prefixes = append(prefixes, p)
-		}
-	}
-	sort.Strings(prefixes)
-	if len(prefixes) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "\nspeedup vs sequential (sequential ns/op / variant ns/op):\n")
-	for _, p := range prefixes {
-		g := groups[p]
-		sort.Slice(g.members, func(i, j int) bool { return g.members[i].Name < g.members[j].Name })
-		for _, m := range g.members {
-			if m.NsPerOp <= 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "%-40s %8.2fx\n", m.Name, g.seq/m.NsPerOp)
-		}
-	}
-	return b.String()
 }
 
 // ScenarioResult mirrors internal/scenario.Result's JSON shape (only the
@@ -332,10 +247,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 			os.Exit(2)
 		}
-		rows := ExemptSpeedupGroups(Diff(oldRecs, newRecs, *threshold), newRecs)
-		out, reg := Format(rows, *threshold)
+		out, reg := Format(Diff(oldRecs, newRecs, *threshold), *threshold)
 		fmt.Print(out)
-		fmt.Print(SpeedupSection(newRecs))
 		if reg {
 			regressed = true
 			fmt.Fprintf(os.Stderr, "benchdiff: regression past %.0f%% threshold\n", *threshold*100)

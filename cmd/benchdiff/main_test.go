@@ -110,58 +110,6 @@ func TestFormat(t *testing.T) {
 	}
 }
 
-func TestSpeedupSection(t *testing.T) {
-	recs := []Record{
-		rec("BenchmarkParallelTable4/sequential", 1000, 0),
-		rec("BenchmarkParallelTable4/site-workers=1", 1100, 0),
-		rec("BenchmarkParallelTable4/site-workers=4", 500, 0),
-		rec("BenchmarkKernelStep", 100, 0),          // no group: no row
-		rec("BenchmarkOther/variant", 50, 0),        // group without sequential leaf
-		rec("BenchmarkParallelTable4/zeroed", 0, 0), // zero ns/op: skipped
-	}
-	out := SpeedupSection(recs)
-	for _, want := range []string{
-		"site-workers=1", "0.91x",
-		"site-workers=4", "2.00x",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("speedup section missing %q:\n%s", want, out)
-		}
-	}
-	for _, wantNot := range []string{"KernelStep", "Other/variant", "zeroed", "/sequential"} {
-		if strings.Contains(out, wantNot) {
-			t.Errorf("speedup section should not contain %q:\n%s", wantNot, out)
-		}
-	}
-}
-
-func TestExemptSpeedupGroups(t *testing.T) {
-	newRecs := []Record{
-		rec("BenchmarkParallelTable4/sequential", 300, 0),
-		rec("BenchmarkParallelTable4/site-workers=2", 300, 0),
-		rec("BenchmarkKernelStep", 300, 0),
-	}
-	oldRecs := []Record{
-		rec("BenchmarkParallelTable4/sequential", 200, 0),
-		rec("BenchmarkParallelTable4/site-workers=2", 200, 0),
-		rec("BenchmarkKernelStep", 200, 0),
-	}
-	rows := ExemptSpeedupGroups(Diff(oldRecs, newRecs, 0.10), newRecs)
-	for _, r := range rows {
-		isSweep := strings.HasPrefix(r.Name, "BenchmarkParallelTable4/")
-		if r.Regressed == isSweep {
-			t.Errorf("%s: regressed = %t, want %t (+50%% ns/op, sweep rows exempt)",
-				r.Name, r.Regressed, !isSweep)
-		}
-	}
-}
-
-func TestSpeedupSectionEmpty(t *testing.T) {
-	if out := SpeedupSection([]Record{rec("BenchmarkKernelStep", 100, 0)}); out != "" {
-		t.Errorf("no-group section = %q, want empty", out)
-	}
-}
-
 func TestFormatCleanRun(t *testing.T) {
 	out, regressed := Format(Diff(
 		[]Record{rec("BenchmarkA", 100, 0)},

@@ -11,18 +11,11 @@
 // (wide-area knapsack run with tracing and a metrics snapshot), monitor
 // (wide-area knapsack run with the live monitoring plane), gridftp
 // (parallel-stream bulk transfers through the proxy over a congestion-
-// modeled WAN), speedup (conservative parallel-DES wall-clock sweep over
-// site-worker counts on a wide grid; needs a multi-core host to show
-// speedup > 1), fleet (open-loop fleet-scale run: -fleet-sites x
+// modeled WAN), fleet (open-loop fleet-scale run: -fleet-sites x
 // -fleet-hosts hosts absorbing -fleet-jobs heavy-tailed jobs at ~0.85
 // utilization, reporting jobs/sec, events/sec and p50/p99 job latency from
 // sampled causal traces), all. The gray-failure chaos scenarios are scenario
 // files (scenarios/chaos-*.yaml) and run under cmd/simulator.
-//
-// -parallel-sim N partitions the simulation kernel by site and runs it on N
-// worker threads with lookahead synchronization (see DESIGN.md, "Parallel
-// execution"); virtual-time results are identical to the default monolithic
-// kernel. Applies to the knapsack sweeps (table4/table5/table6).
 //
 // Tracing (decomp and ktrace only; runs stay deterministic in virtual time):
 //
@@ -50,7 +43,6 @@ import (
 	"time"
 
 	"nxcluster/internal/bench"
-	"nxcluster/internal/cluster"
 	"nxcluster/internal/fleet"
 	"nxcluster/internal/knapsack"
 	"nxcluster/internal/obs"
@@ -62,7 +54,6 @@ func main() {
 	capacity := flag.Int("capacity", 4, "knapsack capacity; controls tree size (4 = ~2.6M nodes, 5 = ~20.6M)")
 	rounds := flag.Int("rounds", 4, "rounds per Table 2 measurement")
 	workers := flag.Int("workers", 0, "host threads for independent simulations (0 = GOMAXPROCS, 1 = sequential); virtual-time results are identical either way")
-	parallelSim := flag.Int("parallel-sim", 0, "site-workers for conservative parallel-DES execution of each simulation kernel (0 = monolithic sequential kernel); virtual-time results are identical")
 	traceOut := flag.String("trace", "", "write the run's event trace as JSONL (decomp, ktrace)")
 	traceChrome := flag.String("trace-chrome", "", "write the run's event trace in Chrome trace_event format (ktrace)")
 	monitorInterval := flag.Duration("monitor-interval", time.Second, "virtual-time sampling window for -run monitor")
@@ -109,7 +100,6 @@ func main() {
 	}
 
 	kcfg := bench.KnapsackConfig{Items: *items, Capacity: *capacity, Workers: *workers}
-	kcfg.Options.ParallelSites = *parallelSim
 
 	var knapReport *bench.KnapsackReport
 	needKnap := func() *bench.KnapsackReport {
@@ -269,25 +259,6 @@ func main() {
 			return rep.Store.WriteHTML(w, title, bench.MonitorHTMLOptions(*monitorAll))
 		})
 	}
-	if *run == "speedup" {
-		cfg := bench.GridConfig{
-			Items:    *items,
-			Capacity: *capacity,
-			Options:  cluster.Options{ExtraSites: 3, OpenFirewall: true, WANLatency: 20 * time.Millisecond},
-		}
-		sweep := []int{1, 2, 4}
-		if p := runtime.GOMAXPROCS(0); p != 1 && p != 2 && p != 4 {
-			sweep = append(sweep, p)
-		}
-		start := time.Now()
-		rep, err := bench.RunParallelSpeedup(cfg, sweep)
-		if err != nil {
-			log.Fatalf("experiments: speedup: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "[speedup sweep: %d runs, GOMAXPROCS %d, host time %v]\n",
-			len(rep.Rows), runtime.GOMAXPROCS(0), time.Since(start).Round(time.Millisecond))
-		fmt.Println(bench.FormatSpeedup(rep))
-	}
 	if *run == "fleet" {
 		sizes := fleet.SizeDist{Kind: fleet.DistPareto, Alpha: 1.5, Min: time.Second, Max: 5 * time.Minute}
 		// Open-loop rate sized to ~0.85 fleet utilization: slots over the
@@ -324,7 +295,7 @@ func main() {
 
 	switch *run {
 	case "all", "sweep", "table2", "table3", "table4", "table5", "table6",
-		"figure1", "figure2", "figure3", "figure4", "figure5", "decomp", "ktrace", "monitor", "gridftp", "speedup", "fleet":
+		"figure1", "figure2", "figure3", "figure4", "figure5", "decomp", "ktrace", "monitor", "gridftp", "fleet":
 	default:
 		log.Fatalf("experiments: unknown -run %q", *run)
 	}

@@ -116,15 +116,9 @@ type Options struct {
 	// network: every layer running on this kernel emits spans, events and
 	// metrics into it, stamped with virtual time. Nil (the default) keeps
 	// every hot path allocation-free and all results bit-identical.
-	//
-	// Obs binds to a single kernel, so it requires the monolithic testbed
-	// (ParallelSites = 0); partitioned runs attach per-partition observers
-	// to Nets[i].Obs instead.
 	Obs *obs.Observer
 	// Seed, when nonzero, seeds the kernel's deterministic RNG (backoff
-	// jitter and any other randomized decisions draw from it). Partitioned
-	// testbeds seed every site kernel identically so results do not depend
-	// on the partition count.
+	// jitter and any other randomized decisions draw from it).
 	Seed uint64
 	// WANLatency overrides the calibrated IMnet link latency (0 =
 	// calibrated). Raising it models a longer wide-area path for bulk
@@ -141,47 +135,18 @@ type Options struct {
 	// for every connection in the testbed. Leave nil to keep the calibrated
 	// paper runs bit-identical.
 	FlowModel *simnet.FlowConfig
-	// ParallelSites, when >= 1, builds the testbed in conservative
-	// parallel-DES mode: the topology is partitioned by site (RWCP behind
-	// the firewall plus the outer server, ETL, and each extra grid site),
-	// every partition runs on its own sub-kernel, and ParallelSites worker
-	// threads execute the site kernels concurrently with lookahead
-	// synchronization at the minimum inter-site link latency. 0 (the
-	// default) keeps the single sequential kernel — the oracle every
-	// parallel run is validated against.
-	ParallelSites int
 	// ExtraSites adds that many "grid" sites — each an ETL-O2K-class host
-	// behind its own WAN link off the outer server — widening the testbed
-	// beyond Figure 5. Works in both monolithic and parallel modes, so
-	// speedup comparisons run the identical topology.
+	// on its own WAN spur off the outer server, publicly reachable like
+	// ETL — widening the testbed beyond Figure 5. GridPlacements puts
+	// GridRanks ranks on each.
 	ExtraSites int
 }
 
-// Validate reports option combinations that cannot work together, instead of
-// letting construction fail some distance from the mistake. NewTestbed
-// panics on these; NewTestbedChecked surfaces the error.
-func (o Options) Validate() error {
-	if o.ParallelSites < 0 {
-		return fmt.Errorf("cluster: Options.ParallelSites must be >= 0, got %d", o.ParallelSites)
-	}
-	if o.ParallelSites > 0 && o.Obs != nil {
-		return fmt.Errorf("cluster: Options.Obs requires the monolithic testbed (ParallelSites = 0); attach per-partition observers to Nets[i].Obs instead")
-	}
-	return nil
-}
-
-// Testbed is the simulated Figure 5 environment with proxy daemons running.
-//
-// In monolithic mode (Options.ParallelSites == 0), K and Net hold the single
-// kernel and network. In parallel mode, Group and Nets hold the per-site
-// sub-kernels and their topology mirrors, and K/Net are nil — drive the
-// testbed through Run, Shutdown, Node, ApplyPlan and Kernels, which work in
-// both modes.
+// Testbed is the simulated Figure 5 environment with proxy daemons running
+// on kernel K and network Net.
 type Testbed struct {
 	K        *sim.Kernel
 	Net      *simnet.Network
-	Group    *sim.Group
-	Nets     []*simnet.Network
 	Firewall *firewall.Firewall
 	Outer    *proxy.OuterServer
 	Inner    *proxy.InnerServer
@@ -191,14 +156,11 @@ type Testbed struct {
 	// crashes); maintained once EnableRecovery is on.
 	OuterBoots int
 	opts       Options
-	assign     map[string]int
-	workers    int
 }
 
 // buildTopology adds the Figure 5 nodes, links, firewall and flow model to
 // n: the RWCP site, the outer server, the IMnet, the ETL site and any extra
-// grid sites. It performs no spawns, so parallel testbeds can build one
-// identical mirror per partition. It returns the RWCP firewall.
+// grid sites. It returns the RWCP firewall.
 func buildTopology(n *simnet.Network, opts Options) *firewall.Firewall {
 	// RWCP site (firewalled): RWCP-Sun, the COMPaS cluster, the inner
 	// server, and the gateway.
@@ -268,41 +230,14 @@ func buildTopology(n *simnet.Network, opts Options) *firewall.Firewall {
 	return fw
 }
 
-// partitionAssign maps every node of the topology to its site partition:
-// the RWCP site (with the siteless outer server) is partition 0, ETL is 1,
-// and each extra grid site gets its own partition after that.
-func partitionAssign(opts Options) map[string]int {
-	a := map[string]int{
-		"rwcp-lan": 0, "compas-sw": 0, "rwcp-gw": 0,
-		RWCPSun: 0, RWCPInner: 0, RWCPOuter: 0,
-		"etl-gw": 1, "etl-lan": 1, ETLSun: 1, ETLO2K: 1,
-	}
-	for i := 0; i < CompasNodes; i++ {
-		a[CompasNode(i)] = 0
-	}
-	for i := 0; i < opts.ExtraSites; i++ {
-		a[GridSite(i)+"-gw"] = 2 + i
-		a[GridSite(i)+"-lan"] = 2 + i
-		a[GridHost(i)] = 2 + i
-	}
-	return a
-}
-
-// NewTestbed builds the Figure 5 environment and starts the Nexus Proxy
-// daemons: on a fresh single kernel by default, or partitioned across
-// per-site sub-kernels when opts.ParallelSites >= 1.
+// NewTestbed builds the Figure 5 environment on a fresh kernel and starts the
+// Nexus Proxy daemons.
 func NewTestbed(opts Options) *Testbed {
-	if err := opts.Validate(); err != nil {
-		panic(err.Error())
-	}
 	if opts.RelayPerBuffer == 0 {
 		opts.RelayPerBuffer = RelayPerBuffer
 	}
 	if opts.RelayBufBytes == 0 {
 		opts.RelayBufBytes = RelayBufBytes
-	}
-	if opts.ParallelSites > 0 {
-		return newParallelTestbed(opts)
 	}
 	k := sim.New()
 	if opts.Seed != 0 {
@@ -311,56 +246,9 @@ func NewTestbed(opts Options) *Testbed {
 	n := simnet.New(k)
 	n.Obs = opts.Obs
 	fw := buildTopology(n, opts)
-	tb := newTestbedOn(opts, fw)
-	tb.K, tb.Net = k, n
-	tb.spawnDaemons()
-	return tb
-}
-
-// newParallelTestbed builds one topology mirror per site partition on a
-// kernel group and couples them with lookahead synchronization.
-func newParallelTestbed(opts Options) *Testbed {
-	assign := partitionAssign(opts)
-	parts := 2 + opts.ExtraSites
-	g := sim.NewGroup(parts)
-	nets := make([]*simnet.Network, parts)
-	var fw *firewall.Firewall
-	for i := range nets {
-		k := g.Kernel(i)
-		if opts.Seed != 0 {
-			k.Seed(opts.Seed)
-		}
-		nets[i] = simnet.New(k)
-		f := buildTopology(nets[i], opts)
-		if i == 0 {
-			fw = f
-		}
-	}
-	if _, err := simnet.Couple(g, nets, assign); err != nil {
-		panic(fmt.Sprintf("cluster: couple site partitions: %v", err))
-	}
-	tb := newTestbedOn(opts, fw)
-	tb.Group, tb.Nets, tb.assign, tb.workers = g, nets, assign, opts.ParallelSites
-	tb.spawnDaemons()
-	return tb
-}
-
-// NewTestbedChecked is NewTestbed with error-returning validation: option
-// combinations the testbed cannot support (Obs on a partitioned testbed,
-// negative ParallelSites) come back as errors instead of panics, so harness
-// code can report them cleanly.
-func NewTestbedChecked(opts Options) (*Testbed, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	return NewTestbed(opts), nil
-}
-
-// newTestbedOn builds the kernel-independent testbed state.
-func newTestbedOn(opts Options, fw *firewall.Firewall) *Testbed {
 	relay := proxy.RelayConfig{BufBytes: opts.RelayBufBytes, PerBuffer: opts.RelayPerBuffer}
 	tb := &Testbed{
-		Firewall: fw, opts: opts,
+		K: k, Net: n, Firewall: fw, opts: opts,
 		Inner: proxy.NewInnerServer(relay),
 		Outer: proxy.NewOuterServer(transport.JoinAddr(RWCPInner, NXPort), relay),
 		ProxyCfg: proxy.Config{
@@ -371,60 +259,21 @@ func newTestbedOn(opts Options, fw *firewall.Firewall) *Testbed {
 	}
 	tb.Inner.Secret = opts.Secret
 	tb.Outer.Secret = opts.Secret
-	return tb
-}
-
-// spawnDaemons boots the relay daemons on their owning hosts (both inside
-// the RWCP partition in parallel mode).
-func (tb *Testbed) spawnDaemons() {
 	tb.Node(RWCPInner).SpawnDaemonOn("nxproxy-inner", func(env transport.Env) {
 		_ = tb.Inner.Serve(env, NXPort, nil)
 	})
 	tb.Node(RWCPOuter).SpawnDaemonOn("nxproxy-outer", func(env transport.Env) {
 		_ = tb.Outer.Serve(env, OuterPort, nil)
 	})
+	return tb
 }
 
-// Parallel reports whether the testbed runs in partitioned parallel mode.
-func (tb *Testbed) Parallel() bool { return tb.Group != nil }
+// Run drives the kernel's event loop to completion.
+func (tb *Testbed) Run() error { return tb.K.Run() }
 
-// Run drives the simulation to completion: the single kernel's event loop in
-// monolithic mode, or the site kernels on ParallelSites worker threads with
-// lookahead synchronization in parallel mode.
-func (tb *Testbed) Run() error {
-	if tb.Group != nil {
-		return tb.Group.Run(tb.workers)
-	}
-	return tb.K.Run()
-}
-
-// Shutdown releases the testbed's kernel(s); call it once the run is done
+// Shutdown releases the testbed's kernel; call it once the run is done
 // (typically deferred right after NewTestbed).
-func (tb *Testbed) Shutdown() {
-	if tb.Group != nil {
-		tb.Group.Shutdown()
-		return
-	}
-	tb.K.Shutdown()
-}
-
-// checkRecovery reports why EnableRecovery cannot run on this testbed.
-func (tb *Testbed) checkRecovery() error {
-	if tb.Group != nil {
-		return fmt.Errorf("cluster: EnableRecovery requires the monolithic testbed (ParallelSites = 0): recovery keepalives tick forever on a single RunUntil-driven kernel")
-	}
-	return nil
-}
-
-// EnableRecoveryChecked is EnableRecovery with an error return instead of a
-// panic for the unsupported partitioned-testbed combination.
-func (tb *Testbed) EnableRecoveryChecked(ka proxy.KeepaliveConfig) error {
-	if err := tb.checkRecovery(); err != nil {
-		return err
-	}
-	tb.EnableRecovery(ka)
-	return nil
-}
+func (tb *Testbed) Shutdown() { tb.K.Shutdown() }
 
 // RWCPSideNodes lists every node on the RWCP side of the wide-area IMnet
 // link — the firewalled site plus the outer server. With ETLSideNodes it
@@ -443,47 +292,11 @@ func ETLSideNodes() []string {
 	return []string{"etl-gw", "etl-lan", ETLSun, ETLO2K}
 }
 
-// Node returns a named node on the network that owns it — the single network
-// in monolithic mode, the owning partition's mirror in parallel mode.
-func (tb *Testbed) Node(name string) *simnet.Node {
-	if tb.Group != nil {
-		p, ok := tb.assign[name]
-		if !ok {
-			panic(fmt.Sprintf("cluster: unknown host %q", name))
-		}
-		return tb.Nets[p].Node(name)
-	}
-	return tb.Net.Node(name)
-}
+// Node returns a named node of the testbed network.
+func (tb *Testbed) Node(name string) *simnet.Node { return tb.Net.Node(name) }
 
-// ApplyPlan schedules a fault plan on the testbed. In parallel mode the plan
-// is applied to every partition mirror: link faults execute everywhere (each
-// mirror keeps its own copy of the wire state), host faults only on the
-// owning partition.
-func (tb *Testbed) ApplyPlan(p *simnet.FaultPlan) error {
-	if tb.Group != nil {
-		for _, n := range tb.Nets {
-			if err := n.ApplyPlan(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return tb.Net.ApplyPlan(p)
-}
-
-// Kernels returns the testbed's kernels: one in monolithic mode, one per
-// site partition in parallel mode (indexed like Nets).
-func (tb *Testbed) Kernels() []*sim.Kernel {
-	if tb.Group != nil {
-		ks := make([]*sim.Kernel, len(tb.Nets))
-		for i := range ks {
-			ks[i] = tb.Group.Kernel(i)
-		}
-		return ks
-	}
-	return []*sim.Kernel{tb.K}
-}
+// ApplyPlan schedules a fault plan on the testbed network.
+func (tb *Testbed) ApplyPlan(p *simnet.FaultPlan) error { return tb.Net.ApplyPlan(p) }
 
 // EnableRecovery arms the testbed's fault-tolerance plumbing: the inner
 // server keeps a registered keepalive session with the outer server
@@ -494,12 +307,8 @@ func (tb *Testbed) Kernels() []*sim.Kernel {
 // control address.
 //
 // With recovery on, the registration keepalive ticks forever — drive the
-// kernel with RunUntil, not Run. Recovery requires the monolithic testbed
-// (RunUntil has no parallel-mode equivalent).
+// kernel with RunUntil, not Run.
 func (tb *Testbed) EnableRecovery(ka proxy.KeepaliveConfig) {
-	if err := tb.checkRecovery(); err != nil {
-		panic(err.Error())
-	}
 	if ka.OuterAddr == "" {
 		ka.OuterAddr = tb.ProxyCfg.OuterServer
 	}
@@ -528,8 +337,7 @@ func (tb *Testbed) EnableRecovery(ka proxy.KeepaliveConfig) {
 	})
 }
 
-// Host returns a named node (an alias for Node, kept for callers predating
-// the parallel mode).
+// Host returns a named node (an alias for Node).
 func (tb *Testbed) Host(name string) *simnet.Node { return tb.Node(name) }
 
 // Dialer returns a proxy-aware dialer configured for RWCP-site processes.
@@ -640,8 +448,7 @@ func (tb *Testbed) Placements(s System, useProxy bool) []mpi.Placement {
 
 // GridPlacements extends the wide-area system across every extra grid site:
 // the Table 3 wide-area placements plus GridRanks ranks on each grid host
-// (publicly reachable like ETL, so never proxied). This is the workload the
-// parallel-DES speedup sweep partitions across site kernels.
+// (publicly reachable like ETL, so never proxied).
 func (tb *Testbed) GridPlacements(useProxy bool) []mpi.Placement {
 	pls := tb.Placements(SystemWide, useProxy)
 	for i := 0; i < tb.opts.ExtraSites; i++ {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"nxcluster/internal/proxy"
+	"nxcluster/internal/simnet"
 	"nxcluster/internal/transport"
 )
 
@@ -223,6 +224,17 @@ func TestSecuredTestbedRelays(t *testing.T) {
 	}
 	if noSecretErr == nil {
 		t.Fatal("secretless client accepted by authenticated relay")
+	}
+}
+
+// TestTestbedApplyPlanPartitionGroups: the exported side-node lists must name
+// real topology nodes, so fault plans built from them validate.
+func TestTestbedApplyPlanPartitionGroups(t *testing.T) {
+	plan := (&simnet.FaultPlan{}).Partition(RWCPSideNodes(), ETLSideNodes(), 0, 0)
+	tb := NewTestbed(Options{})
+	defer tb.Shutdown()
+	if err := tb.ApplyPlan(plan); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -39,7 +39,8 @@ type Stats struct {
 	ConnectRelays int
 	// BindRelays counts passive opens spliced.
 	BindRelays int
-	// Bytes counts payload bytes pumped in both directions.
+	// Bytes counts payload bytes pumped in both directions, each buffer
+	// counted as it is handed to the far leg.
 	Bytes int64
 	// Registrations counts registration sessions established on the
 	// inner-to-outer control channel (1 in a fault-free run; each recovery
@@ -96,6 +97,14 @@ func pump(env transport.Env, name string, src, dst transport.Conn, cfg RelayConf
 			if cfg.PerBuffer > 0 {
 				env.Compute(cfg.PerBuffer)
 			}
+			if bytes != nil {
+				// Counted before the write, so a peer that has read these
+				// bytes also sees them in Stats. Atomic because the two
+				// pumps of a TCP relay are separate goroutines (in the
+				// simulator they are cooperatively scheduled and the
+				// atomicity is free).
+				atomic.AddInt64(bytes, int64(n))
+			}
 			if _, werr := dst.Write(env, buf[:n]); werr != nil {
 				failure = werr
 				break
@@ -104,12 +113,6 @@ func pump(env transport.Env, name string, src, dst transport.Conn, cfg RelayConf
 				o.EmitCtx(env.Now(), tc, "relay", "fwd", track, obs.Int("bytes", int64(n)))
 				mOcc.Add(-int64(n))
 				mBytes.Add(int64(n))
-			}
-			if bytes != nil {
-				// Atomic because the two pumps of a TCP relay are separate
-				// goroutines (in the simulator they are cooperatively
-				// scheduled and the atomicity is free).
-				atomic.AddInt64(bytes, int64(n))
 			}
 		}
 		if err != nil {

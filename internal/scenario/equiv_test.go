@@ -65,7 +65,7 @@ func TestTable4Equivalence(t *testing.T) {
 }
 
 // TestGridEquivalence: the grid kind must hand RunGridKnapsack exactly the
-// monolithic-oracle result the legacy path computes.
+// result the legacy path computes.
 func TestGridEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid solve in -short mode")
@@ -82,7 +82,7 @@ func TestGridEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gres, err := bench.RunGridKnapsack(cfg, s.Topology.ParallelSites)
+	gres, err := bench.RunGridKnapsack(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

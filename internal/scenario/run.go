@@ -135,17 +135,14 @@ func Run(s *Spec) (*Result, error) {
 			if err != nil {
 				return nil, "", 0, 0, err
 			}
-			res, err := bench.RunGridKnapsack(cfg, s.Topology.ParallelSites)
+			res, err := bench.RunGridKnapsack(cfg)
 			if err != nil {
 				return nil, "", 0, 0, err
 			}
 			gr := &gridRun{items: cfg.Items, capacity: cfg.Capacity, res: res}
-			fp := fingerprintGrid(res)
 			h := fnv.New64a()
-			for _, th := range res.TraceHashes {
-				fmt.Fprintf(h, "%016x ", th)
-			}
-			return gr, fp, h.Sum64(), res.Elapsed, nil
+			fmt.Fprintf(h, "%016x ", res.TraceHash)
+			return gr, fingerprintGrid(res), h.Sum64(), res.Elapsed, nil
 		case KindFleet:
 			cfg := s.fleetConfig()
 			e, err := fleet.New(cfg)
@@ -342,10 +339,6 @@ func fingerprintFleet(res fleet.Result) string {
 }
 
 func fingerprintGrid(res *bench.GridResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "elapsed=%d best=%d traversed=%d", res.Elapsed.Nanoseconds(), res.Best, res.Traversed)
-	for _, h := range res.TraceHashes {
-		fmt.Fprintf(&b, " trace=%016x", h)
-	}
-	return b.String()
+	return fmt.Sprintf("elapsed=%d best=%d traversed=%d trace=%016x",
+		res.Elapsed.Nanoseconds(), res.Best, res.Traversed, res.TraceHash)
 }

@@ -28,8 +28,8 @@ const (
 	// KindGridFTP sweeps parallel-stream transfers against WAN loss
 	// (bench.RunTransfer).
 	KindGridFTP Kind = "gridftp"
-	// KindGrid runs one wide-grid knapsack solve, monolithic or partitioned
-	// across site sub-kernels (bench.RunGridKnapsack).
+	// KindGrid runs one wide-grid knapsack solve across the Figure 5
+	// testbed plus topology.extra_sites grid sites (bench.RunGridKnapsack).
 	KindGrid Kind = "grid"
 	// KindFleet runs the open-loop fleet-scale workload engine: N sites x M
 	// hosts behind hierarchical routing, sharded allocation, and a batched
@@ -73,11 +73,8 @@ type Spec struct {
 
 // TopologySpec adjusts testbed construction (cluster.Options).
 type TopologySpec struct {
-	// ExtraSites adds grid sites beyond Figure 5; ParallelSites runs the
-	// testbed partitioned by site on that many worker threads (0 =
-	// monolithic oracle kernel).
-	ExtraSites    int
-	ParallelSites int
+	// ExtraSites adds grid sites beyond Figure 5.
+	ExtraSites int
 	// OpenFirewall reproduces the paper's temporarily-opened baseline.
 	OpenFirewall bool
 	// Secret enables authenticated relay control channels.
@@ -182,8 +179,7 @@ type GridFTPWorkload struct {
 	Workers   int
 }
 
-// GridWorkload mirrors bench.GridConfig (sites come from the topology's
-// parallel_sites).
+// GridWorkload mirrors bench.GridConfig.
 type GridWorkload struct {
 	Items    int
 	Capacity int
@@ -266,6 +262,8 @@ type AssertSpec struct {
 type object struct {
 	path string
 	m    map[string]any
+	// used records every key the decoder asked for, true once present and
+	// consumed; the asked keys are the valid key set finish reports.
 	used map[string]bool
 }
 
@@ -304,9 +302,7 @@ func (o *object) has(key string) bool {
 
 func (o *object) take(key string) (any, bool) {
 	v, ok := o.m[key]
-	if ok {
-		o.used[key] = true
-	}
+	o.used[key] = o.used[key] || ok
 	return v, ok
 }
 
@@ -361,6 +357,20 @@ func (o *object) integer(key string, def int64) (int64, error) {
 		return def, nil
 	}
 	return coerceInt(v, o.path+"."+key)
+}
+
+// count decodes a non-negative integer. Counts use 0 for "default"; a
+// negative one means nothing, so it is rejected here, at the key that holds
+// it, rather than failing the run far from the mistake.
+func (o *object) count(key string) (int, error) {
+	n, err := o.integer(key, 0)
+	if err != nil {
+		return 0, err
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("scenario: %s.%s must be >= 0, got %d", o.path, key, n)
+	}
+	return int(n), nil
 }
 
 func coerceInt(v any, path string) (int64, error) {
@@ -651,15 +661,10 @@ func decodeTopology(o *object, t *TopologySpec) error {
 		}
 		return err != nil
 	}
+	if t.ExtraSites, err = o.count("extra_sites"); fail(err) {
+		return err
+	}
 	var n int64
-	if n, err = o.integer("extra_sites", 0); fail(err) {
-		return err
-	}
-	t.ExtraSites = int(n)
-	if n, err = o.integer("parallel_sites", 0); fail(err) {
-		return err
-	}
-	t.ParallelSites = int(n)
 	if t.OpenFirewall, err = o.boolean("open_firewall", false); fail(err) {
 		return err
 	}
@@ -740,14 +745,12 @@ func decodeChaosWorkload(o *object, s *Spec) error {
 	w := &ChaosWorkload{}
 	var err error
 	var n int64
-	if n, err = o.integer("items", 0); err != nil {
+	if w.Items, err = o.count("items"); err != nil {
 		return err
 	}
-	w.Items = int(n)
-	if n, err = o.integer("capacity", 0); err != nil {
+	if w.Capacity, err = o.count("capacity"); err != nil {
 		return err
 	}
-	w.Capacity = int(n)
 	if w.System, err = o.str("system", "wide"); err != nil {
 		return err
 	}
@@ -893,14 +896,12 @@ func decodeTable4Workload(o *object, s *Spec) error {
 	w := &Table4Workload{}
 	var err error
 	var n int64
-	if n, err = o.integer("items", 0); err != nil {
+	if w.Items, err = o.count("items"); err != nil {
 		return err
 	}
-	w.Items = int(n)
-	if n, err = o.integer("capacity", 0); err != nil {
+	if w.Capacity, err = o.count("capacity"); err != nil {
 		return err
 	}
-	w.Capacity = int(n)
 	if n, err = o.integer("workers", 0); err != nil {
 		return err
 	}
@@ -915,15 +916,12 @@ func decodeTable4Workload(o *object, s *Spec) error {
 func decodeMonitorWorkload(o *object, s *Spec) error {
 	w := &MonitorWorkload{}
 	var err error
-	var n int64
-	if n, err = o.integer("items", 0); err != nil {
+	if w.Items, err = o.count("items"); err != nil {
 		return err
 	}
-	w.Items = int(n)
-	if n, err = o.integer("capacity", 0); err != nil {
+	if w.Capacity, err = o.count("capacity"); err != nil {
 		return err
 	}
-	w.Capacity = int(n)
 	if w.Interval, err = o.duration("interval", 0); err != nil {
 		return err
 	}
@@ -971,15 +969,12 @@ func decodeGridFTPWorkload(o *object, s *Spec) error {
 func decodeGridWorkload(o *object, s *Spec) error {
 	w := &GridWorkload{}
 	var err error
-	var n int64
-	if n, err = o.integer("items", 0); err != nil {
+	if w.Items, err = o.count("items"); err != nil {
 		return err
 	}
-	w.Items = int(n)
-	if n, err = o.integer("capacity", 0); err != nil {
+	if w.Capacity, err = o.count("capacity"); err != nil {
 		return err
 	}
-	w.Capacity = int(n)
 	if w.UseProxy, err = o.boolean("use_proxy", false); err != nil {
 		return err
 	}

@@ -323,28 +323,6 @@ func (k *Kernel) place(ev *event) {
 	k.events.push(ev)
 }
 
-// Schedule enqueues fn to run at virtual time at; instants at or before the
-// current clock fire at the current instant. It is the timestamped form of
-// After, used by the parallel-group coupler to inject cross-partition events
-// at their precomputed arrival times.
-func (k *Kernel) Schedule(at time.Duration, fn func()) {
-	k.schedule(at, fn)
-}
-
-// NextEventAt reports the earliest instant at which this kernel has pending
-// work: the current time when runnable tasks or due events exist, otherwise
-// the timestamp of the earliest scheduled event. ok is false when the kernel
-// is fully idle.
-func (k *Kernel) NextEventAt() (at time.Duration, ok bool) {
-	if k.ready.len() > 0 || k.due.len() > 0 {
-		return k.now, true
-	}
-	if top := k.events.peek(); top != nil {
-		return top.at, true
-	}
-	return 0, false
-}
-
 // schedule enqueues fn to run at virtual time at (>= now).
 func (k *Kernel) schedule(at time.Duration, fn func()) *event {
 	ev := k.newEvent(at)

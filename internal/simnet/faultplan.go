@@ -170,7 +170,7 @@ func (p *FaultPlan) LinkDegrade(a, b string, addLatency time.Duration, lossPct f
 // LinkFlap models a flapping link: starting at from, each period opens with
 // duty*period of outage followed by (1-duty)*period of service, until to
 // (the link is guaranteed up at to). It expands into plain down/up faults at
-// build time, so mirrors, logging, and ordering all see ordinary link faults.
+// build time, so logging and ordering see ordinary link faults.
 func (p *FaultPlan) LinkFlap(a, b string, period time.Duration, duty float64, from, to time.Duration) *FaultPlan {
 	if period <= 0 || duty <= 0 || duty >= 1 || to <= from {
 		p.fail(fmt.Errorf("simnet: LinkFlap(%q, %q): need period > 0, 0 < duty < 1, to > from", a, b))
@@ -330,30 +330,18 @@ func (n *Network) execute(f Fault) {
 	case FaultHeal:
 		n.SetPartition(f.GroupA, f.GroupB, false)
 	case FaultCrash:
-		if !n.Owns(f.A) {
-			return // the owning partition executes host faults
-		}
 		if err := n.CrashHost(f.A); err != nil {
 			panic(err) // validated at ApplyPlan; unreachable
 		}
 	case FaultRestart:
-		if !n.Owns(f.A) {
-			return
-		}
 		if err := n.RestartHost(f.A); err != nil {
 			panic(err)
 		}
 	case FaultSlowHost:
-		if !n.Owns(f.A) {
-			return
-		}
 		if err := n.SetHostSpeed(f.A, f.Factor); err != nil {
 			panic(err)
 		}
 	case FaultRestoreHost:
-		if !n.Owns(f.A) {
-			return
-		}
 		if err := n.SetHostSpeed(f.A, 1); err != nil {
 			panic(err)
 		}
